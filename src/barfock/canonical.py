@@ -1,20 +1,22 @@
-"""Canonical basis of the Fock space, computed the slow honest way.
+"""Canonical basis of the Fock space, by the Lascoux-Leclerc-Thibon recursion.
 
-For each restricted mu (taken in decreasing lex order) we peel mu down to
-the empty partition by repeatedly removing all normal i-nodes for the
-first residue that has any, rebuild the corresponding monomial of divided
-powers applied to the vacuum, and then straighten: while some coefficient
-at nu != mu fails to lie in qZ[q], subtract the bar-symmetric multiple of
-the already-computed G(nu).  Everything that theory promises along the
-way is asserted, not assumed.
+For each restricted mu, string_top removes all normal i-nodes for the
+first residue that has any, leaving a restricted nu one i-string lower.
+The divided power f_i^(k) applied to the already-computed G(nu) gives a
+bar-invariant A(mu) whose coefficient at mu is 1 modulo q, and one
+ascending lex pass straightens it: wherever a coefficient at lam != mu
+fails to lie in qZ[q], subtract the bar-symmetric multiple of G(lam).
+Everything that theory promises along the way is checked, not assumed,
+and the checks raise InvariantError, so they survive `python -O`.
 """
 
 import csv
+import heapq
 import io
 
 from . import fock
 from . import partitions as pt
-from .laurent import ONE, symmetric_correction
+from .laurent import ONE, ZERO, symmetric_correction
 
 
 # ---------------------------------------------------------------------------
@@ -26,15 +28,15 @@ def _signature_nodes(lam, i, h):
 
 	Entries are (column, row, symbol) with symbol '+' for addable and '-'
 	for removable.  The two kinds never share a column; that is load-bearing
-	for the reduction and therefore asserted.
+	for the reduction and therefore checked.
 	"""
 	lam = tuple(lam)
 	merged = [(c, r, "+") for r, c in pt.addable_i_nodes(lam, i, h)]
 	merged += [(c, r, "-") for r, c in pt.removable_i_nodes(lam, i, h)]
 	merged.sort()
 	cols = [c for c, _, _ in merged]
-	assert len(set(cols)) == len(cols), \
-		"addable and removable %d-nodes share a column on %r" % (i, lam)
+	pt.require(len(set(cols)) == len(cols),
+		"addable and removable %d-nodes share a column on %r", i, lam)
 	return merged
 
 
@@ -78,14 +80,14 @@ def _add_nodes(lam, nodes, h):
 	for r, cols in sorted(by_row.items()):
 		if r == len(lengths) + 1:
 			lengths.append(0)
-		assert 1 <= r <= len(lengths), "added node in a detached row"
+		pt.require(1 <= r <= len(lengths), "added node in a detached row of %r", lam)
 		old = lengths[r - 1]
-		assert sorted(cols) == list(range(old + 1, old + len(cols) + 1)), \
-			"added nodes do not extend row %d contiguously" % r
+		pt.require(sorted(cols) == list(range(old + 1, old + len(cols) + 1)),
+			"added nodes do not extend row %d of %r contiguously", r, lam)
 		lengths[r - 1] = old + len(cols)
 	mu = tuple(v for v in lengths if v)
 	mu = pt.check_partition(mu)
-	assert pt.is_h_strict(mu, h), "node addition left the h-strict world: %r" % (mu,)
+	pt.require(pt.is_h_strict(mu, h), "node addition left the h-strict world: %r", mu)
 	return mu
 
 
@@ -95,14 +97,14 @@ def _remove_nodes(lam, nodes, h):
 	for r, c in nodes:
 		by_row.setdefault(r, []).append(c)
 	for r, cols in by_row.items():
-		assert 1 <= r <= len(lengths)
+		pt.require(1 <= r <= len(lengths), "removed node outside the rows of %r", lam)
 		old = lengths[r - 1]
-		assert sorted(cols) == list(range(old - len(cols) + 1, old + 1)), \
-			"removed nodes do not truncate row %d contiguously" % r
+		pt.require(sorted(cols) == list(range(old - len(cols) + 1, old + 1)),
+			"removed nodes do not truncate row %d of %r contiguously", r, lam)
 		lengths[r - 1] = old - len(cols)
 	mu = tuple(v for v in lengths if v)
 	mu = pt.check_partition(mu)
-	assert pt.is_h_strict(mu, h), "node removal left the h-strict world: %r" % (mu,)
+	pt.require(pt.is_h_strict(mu, h), "node removal left the h-strict world: %r", mu)
 	return mu
 
 
@@ -127,17 +129,17 @@ def string_top(mu, h, policy="smallest"):
 	Returns (nu, i, k); policy picks whether residues are scanned from 0
 	upward or from n downward.  The result must stay restricted.
 	"""
-	assert mu, "nothing to peel"
+	pt.require(mu, "nothing to peel")
 	n = pt.n_of(h)
 	order = range(n + 1) if policy == "smallest" else range(n, -1, -1)
 	for i in order:
 		norm = normal_nodes(mu, i, h)
 		if norm:
 			nu = _remove_nodes(mu, norm, h)
-			assert pt.is_restricted(nu, h), \
-				"peel step left the restricted world: %r -> %r" % (mu, nu)
+			pt.require(pt.is_restricted(nu, h),
+				"peel step left the restricted world: %r -> %r", mu, nu)
 			return nu, i, len(norm)
-	raise AssertionError("nonempty restricted partition with no normal nodes: %r" % (mu,))
+	raise pt.InvariantError("nonempty restricted partition with no normal nodes: %r" % (mu,))
 
 
 def peel_word(mu, h, policy="smallest"):
@@ -219,21 +221,24 @@ _CACHE = {}
 
 
 def canonical_basis(block, peel_policy="smallest"):
-	"""The block's canonical-basis matrix, straightened from peel monomials.
+	"""The block's canonical-basis matrix, by memoised recursion on columns.
 
-	Columns are driven in decreasing lex order, but a correction can point
-	at a lex-smaller restricted column (which peel word a partition gets
-	depends on the policy), so columns are computed by memoised recursion:
-	straightening mu may first compute G(nu) for the column it needs.  A
-	genuine dependency cycle is a hard error.
+	G(()) is the vacuum.  For a restricted mu with (nu, i, k) =
+	string_top(mu), A(mu) = f_i^(k) G(nu) is bar-invariant with
+	coefficient 1 modulo q at mu; its support can reach lex below mu.
+	That support is walked once in ascending lex order, and each position
+	lam != mu whose coefficient c lies outside qZ[q] is fixed by
+	subtracting symmetric_correction(c) * G(lam).  The lex-least dirty
+	position is the right pivot: what is left to remove is a bar-invariant
+	combination of canonical columns, and its lex-least dirty position is
+	the lex-least column in that combination, with the whole multiplier as
+	its coefficient.  The support of G(lam) is lex >= lam, so a correction
+	never dirties a position already passed.
 
-	The pivot is the lex-LEAST position with a coefficient outside qZ[q]:
-	the residue vector is a bar-invariant combination of canonical columns,
-	and its lex-least dirty position is exactly the lex-least column in
-	that combination, with the whole bar-invariant multiplier as its
-	coefficient.  (The lex-greatest dirty position can sit at a
-	non-restricted partition — a shadow of corrections below it — so it is
-	not a usable pivot.)
+	G is local to the call and also holds the G(nu) of smaller blocks the
+	recursion reaches; each peel policy builds its own, which keeps the two
+	policies independent cross-checks.  A column asked for while it is
+	being computed is a dependency cycle and a hard error.
 	"""
 	key = (block, peel_policy)
 	if key in _CACHE:
@@ -242,53 +247,61 @@ def canonical_basis(block, peel_policy="smallest"):
 	parts = pt.enumerate_block(block)
 	members = set(parts)
 	restricted = [p for p in parts if pt.is_restricted(p, h)]
-	restricted_set = set(restricted)
-	content = pt.h_content(parts[0], h) if parts else None
-	G = {}
-	in_progress = set()
+	G = {(): fock.FockVector.basis(h, ())}
+	coeffs = {}  # one shared object per distinct coefficient keeps G small
 
 	def column(mu):
 		if mu in G:
+			pt.require(G[mu] is not None,
+				"%s: columns depend on each other in a cycle at %r", block, mu)
 			return G[mu]
-		assert mu not in in_progress, \
-			"correction columns form a dependency cycle at %r" % (mu,)
-		in_progress.add(mu)
-		vec = fock.monomial_apply(peel_word(mu, h, peel_policy), h)
-		lead = vec.coefficient(mu)
-		assert (lead - ONE).divisible_by_q(), \
-			"peel monomial not unitriangular at %r: %s" % (mu, lead)
-		guard = len(parts) * (len(parts) + 1)
-		while True:
-			bad = None
-			for nu in sorted(vec.support()):
-				if nu != mu and not vec.coefficient(nu).divisible_by_q():
-					bad = nu
-					break
-			if bad is None:
-				break
-			if bad not in restricted_set:
-				raise AssertionError(
-					"correction needed at non-restricted %r while straightening %r"
-					% (bad, mu))
-			vec = vec - column(bad).scale(symmetric_correction(vec.coefficient(bad)))
-			guard -= 1
-			assert guard > 0, "straightening loop failed to terminate at %r" % (mu,)
-		assert vec.coefficient(mu) == ONE, "leading coefficient of %r is not 1" % (mu,)
-		for lam, c in vec.items():
-			assert lam in members, \
-				"G(%r) leaks outside its block at %r" % (mu, lam)
-			assert pt.h_content(lam, h) == content
+		G[mu] = None  # in progress
+		nu, i, k = string_top(mu, h, peel_policy)
+		terms = dict(fock.apply_f(column(nu), i, k).terms)
+		where = "%s, column %s" % (block, pt.partition_str(mu))
+		lead = terms.get(mu, ZERO)
+		pt.require((lead - ONE).divisible_by_q(),
+			"%s: f_%d^(%d) G%s is not unitriangular (lead %s)",
+			where, i, k, pt.partition_str(nu), lead)
+		heap = sorted(terms)
+		while heap:
+			bad = heapq.heappop(heap)
+			c = terms.get(bad)
+			if bad == mu or c is None or c.divisible_by_q():
+				continue
+			pt.require(pt.is_restricted(bad, h),
+				"%s: correction needed at non-restricted %r", where, bad)
+			s = symmetric_correction(c)
+			for lam, d in column(bad).terms.items():
+				pt.require(lam >= bad,
+					"%s: the correction G%s reaches below itself at %r", where, bad, lam)
+				if lam not in terms:
+					heapq.heappush(heap, lam)
+				e = terms.get(lam, ZERO) - s * d
+				if e:
+					terms[lam] = e
+				else:
+					del terms[lam]
+		pt.require(terms.get(mu) == ONE, "%s: leading coefficient is not 1", where)
+		content = pt.h_content(mu, h)
+		inside = mu in members
+		for lam, c in terms.items():
+			pt.require(lam in members or not inside,
+				"%s: leaks outside the block at %r", where, lam)
+			pt.require(pt.h_content(lam, h) == content,
+				"%s: h-content differs at %r", where, lam)
 			if lam != mu:
-				assert c.divisible_by_q(), \
-					"off-diagonal entry at %r not in qZ[q]" % (lam,)
-				assert pt.strictly_dominates(lam, mu), \
-					"support of G(%r) fails dominance at %r" % (mu, lam)
-		in_progress.discard(mu)
-		G[mu] = vec
+				pt.require(c.divisible_by_q(),
+					"%s: off-diagonal entry at %r not in qZ[q]", where, lam)
+				pt.require(pt.strictly_dominates(lam, mu),
+					"%s: support fails dominance at %r", where, lam)
+			terms[lam] = coeffs.setdefault(c, c)
+		G[mu] = vec = fock.FockVector(h, terms)
 		return vec
 
 	for mu in sorted(restricted, reverse=True):
 		column(mu)
+	del column  # it refers to itself; unbound, G is freed on return
 	entries = [[G[mu].coefficient(lam) for mu in restricted] for lam in parts]
 	out = CanonicalBasisMatrix(block, parts, restricted, entries)
 	_CACHE[key] = out

@@ -3,7 +3,8 @@
 Subcommands: block, core, cb, formula, diff, verify-pair, predict-spin.
 Everything is deterministic: identical invocations print identical bytes.
 Exit codes: 0 success, 1 usage error, 2 a discrepancy or failed check was
-found, 3 an internal assertion tripped.
+found, 3 an internal assertion tripped.  A reader that closes stdout early
+(`barfock cb ... | head`) ends the run quietly with exit 0.
 """
 
 import argparse
@@ -264,6 +265,8 @@ def _diff_one(job):
 def cmd_diff(args):
 	if args.weight not in (0, 1, 2):
 		raise _UsageError("formulas exist for weights 0, 1, 2")
+	if args.jobs < 1:
+		raise _UsageError("--jobs must be at least 1, got %d" % args.jobs)
 	jobs = []
 	for h in args.h:
 		for core in pt.enumerate_cores(h, args.max_core_size):
@@ -382,7 +385,13 @@ def main(argv=None):
 	parser = build_parser()
 	try:
 		args = parser.parse_args(argv)
-		return _COMMANDS[args.command](args)
+		code = _COMMANDS[args.command](args)
+		sys.stdout.flush()
+		return code
+	except BrokenPipeError:
+		# the reader has gone; later flushes (at exit, too) go nowhere
+		os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+		return 0
 	except _UsageError as e:
 		sys.stderr.write("error: %s\n" % e)
 		return 1

@@ -14,6 +14,17 @@ from dataclasses import dataclass
 LESS, EQUAL, GREATER, INCOMPARABLE = -1, 0, 1, 2
 
 
+class InvariantError(AssertionError):
+	"""A fact the theory guarantees failed to hold.  Raised explicitly, so
+	the check survives `python -O`; the CLI maps it to exit code 3."""
+
+
+def require(condition, message, *args):
+	"""Raise InvariantError(message % args) unless condition holds."""
+	if not condition:
+		raise InvariantError(message % args if args else message)
+
+
 def check_h(h):
 	if not (isinstance(h, int) and h >= 3 and h % 2 == 1):
 		raise ValueError("h must be an odd integer >= 3, got %r" % (h,))
@@ -81,7 +92,12 @@ def residue(c, h):
 # nodes, and a new row can only ever be a single node in column 1 (residue 0).
 # The removable set is the difference against the *smallest* h-strict
 # subpartition reachable this way, the addable set against the *largest*
-# h-strict superpartition; both optima are required to be unique.
+# h-strict superpartition.  Removal walks the rows bottom-up, giving each its
+# smallest option above the new row below (equal only at a multiple of h, 0
+# included); addition walks top-down taking the largest option by the same
+# rule.  A smaller value in one row only widens the choices of the row above
+# (a larger one, of the row below), so this pointwise optimum is admissible
+# and is the unique optimum of the total.
 # ---------------------------------------------------------------------------
 
 def _row_strip_options(length, i, h):
@@ -103,78 +119,37 @@ def _row_add_options(length, i, h):
 	return opts
 
 
-def _choose_rows(opts_per_row, h, minimise):
-	"""Pick one value per row (weakly decreasing, repeats only at mult. of h),
-	optimising the total.  Returns the unique optimising vector.
-
-	Plain recursion with memoisation on (row, previous value); the option
-	lists have at most three entries so this is tiny.
-	"""
-	rows = len(opts_per_row)
-	memo = {}
-
-	def go(r, prev):
-		# returns (best_total, count_of_optima, choice_vector)
-		if r == rows:
-			return (0, 1, ())
-		key = (r, prev)
-		if key in memo:
-			return memo[key]
-		best = None
-		for v in opts_per_row[r]:
-			if v > prev:
-				continue
-			if v == prev and v > 0 and v % h != 0:
-				continue
-			sub = go(r + 1, v)
-			if sub is None:
-				continue
-			total = v + sub[0]
-			if best is None or (minimise and total < best[0]) or (not minimise and total > best[0]):
-				best = (total, sub[1], (v,) + sub[2])
-			elif total == best[0]:
-				best = (best[0], best[1] + sub[1], best[2])
-		memo[key] = best
-		return best
-
-	result = go(0, None if rows == 0 else max(max(o) for o in opts_per_row) + 1)
-	assert result is not None, "no admissible row assignment"
-	assert result[1] == 1, "optimum not unique: %r" % (opts_per_row,)
-	return result[2]
-
-
 def removable_i_nodes(lam, i, h):
 	"""Nodes removed in passing to the smallest h-strict subpartition whose
 	complement consists of i-nodes; increasing column order, ties by row."""
-	lam = tuple(lam)
-	if not lam:
-		return []
-	opts = [_row_strip_options(lam[r], i, h) for r in range(len(lam))]
-	# the smallest subpartition has the minimal total of new row lengths
-	chosen = _choose_rows(opts, h, minimise=True)
 	nodes = []
-	for r in range(len(lam)):
-		for c in range(chosen[r] + 1, lam[r] + 1):
-			nodes.append((r + 1, c))
-	nodes.sort(key=lambda rc: (rc[1], rc[0]))
-	return nodes
+	below = 0
+	for r in range(len(lam) - 1, -1, -1):
+		# options are listed longest first; the unchanged length always fits
+		for v in reversed(_row_strip_options(lam[r], i, h)):
+			if v > below or (v == below and v % h == 0):
+				break
+		nodes.extend((r + 1, c) for c in range(v + 1, lam[r] + 1))
+		below = v
+	return sorted(nodes, key=lambda rc: (rc[1], rc[0]))
 
 
 def addable_i_nodes(lam, i, h):
 	"""Dual of removable_i_nodes: the difference against the largest h-strict
 	superpartition reachable by adding i-nodes."""
-	lam = tuple(lam)
 	lengths = list(lam)
 	if i == 0:
 		lengths.append(0)  # at most one new row, necessarily a single node
-	opts = [_row_add_options(v, i, h) for v in lengths]
-	chosen = _choose_rows(opts, h, minimise=False)
 	nodes = []
-	for r in range(len(lengths)):
-		for c in range(lengths[r] + 1, chosen[r] + 1):
-			nodes.append((r + 1, c))
-	nodes.sort(key=lambda rc: (rc[1], rc[0]))
-	return nodes
+	above = float("inf")
+	for r, old in enumerate(lengths):
+		# options are listed shortest first; the unchanged length always fits
+		for v in reversed(_row_add_options(old, i, h)):
+			if v < above or (v == above and v % h == 0):
+				break
+		nodes.extend((r + 1, c) for c in range(old + 1, v + 1))
+		above = v
+	return sorted(nodes, key=lambda rc: (rc[1], rc[0]))
 
 
 def h_content(lam, h):

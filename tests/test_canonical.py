@@ -1,6 +1,10 @@
 """Signatures, the psi involution, and the canonical-basis oracle."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -147,6 +151,30 @@ class TestOracle:
 					assert pt.strictly_dominates(lam, mu)
 				if d:
 					assert pt.h_content(lam, block.h) == content
+
+
+def test_invariants_survive_optimised_mode():
+	# doubling every coefficient that f_i^(k) produces breaks the
+	# unitriangular lead of the first column built; python -O strips
+	# asserts, but not this check
+	script = textwrap.dedent("""
+		import barfock.canonical as cb
+		import barfock.partitions as pt
+		assert False, "reached only without -O"
+		real = cb.fock.apply_f
+		cb.fock.apply_f = lambda vec, i, k=1: real(vec, i, k).scale(2)
+		try:
+			cb.canonical_basis(pt.BlockId(5, (), 2))
+		except pt.InvariantError as e:
+			print(e)
+	""")
+	src = os.path.dirname(os.path.dirname(os.path.abspath(cb.__file__)))
+	proc = subprocess.run([sys.executable, "-O", "-c", script],
+		capture_output=True, text=True, timeout=120,
+		env=dict(os.environ, PYTHONPATH=src))
+	assert proc.returncode == 0, proc.stderr
+	assert proc.stdout.startswith("h=5 core=() w=2, column (1): ")
+	assert "not unitriangular" in proc.stdout
 
 
 class TestRenderings:

@@ -1,9 +1,23 @@
-"""End-to-end command-line checks, run in process via cli.main."""
+"""End-to-end command-line checks, run in process via cli.main (and in a
+subprocess where the process itself matters: a closed stdout)."""
 
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 import barfock.cli as cli
 import barfock.canonical
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def run_subprocess(argv, stdout):
+	env = dict(os.environ, PYTHONPATH=SRC)
+	return subprocess.run([sys.executable, "-m", "barfock.cli"] + argv,
+		stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
 
 
 def run(capsys, *argv):
@@ -122,6 +136,30 @@ def test_diff_discrepancy_exits_2(capsys, monkeypatch):
 		"--max-core-size", "2", "--jobs", "1")
 	assert code == 2
 	assert "DISCREPANCY" in out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_diff_jobs_below_one_is_usage_error(capsys, jobs):
+	code, out, err = run(capsys, "diff", "--h", "3", "--weight", "1",
+		"--max-core-size", "2", "--jobs", jobs)
+	assert code == 1 and out == ""
+	assert "--jobs" in err and "at least 1" in err
+
+
+def test_closed_stdout_exits_quietly(capsys):
+	# a reader that has gone away, as after `| head -c 20`
+	argv = ["cb", "--h", "5", "--core", "(1)", "--weight", "2", "--format", "json"]
+	read_end, write_end = os.pipe()
+	os.close(read_end)
+	try:
+		proc = run_subprocess(argv, stdout=write_end)
+	finally:
+		os.close(write_end)
+	assert proc.returncode == 0 and proc.stderr == b""
+	# a full read still gets every byte
+	proc = run_subprocess(argv, stdout=subprocess.PIPE)
+	assert proc.returncode == 0 and proc.stderr == b""
+	assert proc.stdout.decode() == run(capsys, *argv)[1]
 
 
 def test_internal_assertion_exits_3(capsys, monkeypatch):

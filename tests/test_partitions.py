@@ -1,7 +1,9 @@
 """Partition combinatorics: strictness, residues, node sets, cores, blocks.
 
-The node-set tests re-derive addable/removable sets by exhaustive search
-over row-length vectors, independently of the library's row-DP.
+The node-set tests re-derive addable/removable sets independently of the
+library's one-pass greedy rule: by exhaustive search over row-length
+vectors on small partitions, and by the row DP the library used before,
+kept here as a reference, up to the acceptance gate's member bounds.
 """
 
 import itertools
@@ -112,6 +114,74 @@ def test_node_sets_match_brute_force(h):
 					brute_node_set(lam, i, h, "add"), (lam, i)
 				assert pt.removable_i_nodes(lam, i, h) == \
 					brute_node_set(lam, i, h, "remove"), (lam, i)
+
+
+# the largest partitions the acceptance gate's sweeps touch, per h
+MEMBER_BOUNDS = {3: 22, 5: 30, 7: 36}
+
+
+def dp_rows(opts_per_row, h, minimise):
+	"""The admissible row vector (weakly decreasing, repeats only at
+	multiples of h, 0 included) with the least or greatest total, by
+	memoised recursion on (row, previous value); the optimum must be
+	unique."""
+	memo = {}
+
+	def go(r, prev):
+		# (best total, number of optima, choice vector), or None
+		if r == len(opts_per_row):
+			return (0, 1, ())
+		if (r, prev) not in memo:
+			best = None
+			for v in opts_per_row[r]:
+				if v > prev or (v == prev and v % h != 0):
+					continue
+				sub = go(r + 1, v)
+				if sub is None:
+					continue
+				total = v + sub[0]
+				if best is None or (total < best[0] if minimise else total > best[0]):
+					best = (total, sub[1], (v,) + sub[2])
+				elif total == best[0]:
+					best = (total, best[1] + sub[1], best[2])
+			memo[(r, prev)] = best
+		return memo[(r, prev)]
+
+	result = go(0, float("inf"))
+	assert result is not None and result[1] == 1, opts_per_row
+	return result[2]
+
+
+def dp_node_set(lam, i, h, direction):
+	lengths = list(lam) + ([0] if direction == "add" and i == 0 else [])
+	if direction == "add":
+		opts = [pt._row_add_options(v, i, h) for v in lengths]
+	else:
+		opts = [pt._row_strip_options(v, i, h) for v in lengths]
+	chosen = dp_rows(opts, h, minimise=direction == "remove")
+	nodes = []
+	for r, (old, new) in enumerate(zip(lengths, chosen)):
+		lo, hi = (old, new) if direction == "add" else (new, old)
+		nodes.extend((r + 1, c) for c in range(lo + 1, hi + 1))
+	return sorted(nodes, key=lambda node: (node[1], node[0]))
+
+
+@pytest.mark.parametrize("h", sorted(MEMBER_BOUNDS))
+def test_greedy_node_sets_match_dp(h):
+	for m in range(MEMBER_BOUNDS[h] + 1):
+		for lam in pt.enumerate_h_strict(m, h):
+			for i in range(pt.n_of(h) + 1):
+				assert pt.addable_i_nodes(lam, i, h) == \
+					dp_node_set(lam, i, h, "add"), (lam, i)
+				assert pt.removable_i_nodes(lam, i, h) == \
+					dp_node_set(lam, i, h, "remove"), (lam, i)
+
+
+def test_node_sets_at_repeated_multiples_of_h():
+	# the new row below may equal a row's option only at a multiple of h:
+	# both rows then keep that length
+	assert pt.removable_i_nodes((4, 3, 3), 0, 3) == [(3, 3), (1, 4)]
+	assert pt.addable_i_nodes((5, 5, 4), 0, 5) == [(4, 1), (3, 5), (1, 6)]
 
 
 def test_node_sets_on_displayed_example():
