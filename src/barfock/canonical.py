@@ -72,39 +72,28 @@ def conormal_nodes(lam, i, h):
 		if sym == "+"]
 
 
-def _add_nodes(lam, nodes, h):
+def _move_nodes(lam, nodes, h, sign):
+	"""lam with the given (row, col) nodes added (sign 1) or removed (sign -1).
+
+	Each row's nodes must extend (truncate) it contiguously at its right
+	edge, and the result must be h-strict.
+	"""
+	verb = "added" if sign > 0 else "removed"
 	lengths = list(lam)
 	by_row = {}
 	for r, c in nodes:
 		by_row.setdefault(r, []).append(c)
 	for r, cols in sorted(by_row.items()):
-		if r == len(lengths) + 1:
+		if sign > 0 and r == len(lengths) + 1:
 			lengths.append(0)
-		pt.require(1 <= r <= len(lengths), "added node in a detached row of %r", lam)
+		pt.require(1 <= r <= len(lengths), "%s node outside the rows of %r", verb, lam)
 		old = lengths[r - 1]
-		pt.require(sorted(cols) == list(range(old + 1, old + len(cols) + 1)),
-			"added nodes do not extend row %d of %r contiguously", r, lam)
-		lengths[r - 1] = old + len(cols)
-	mu = tuple(v for v in lengths if v)
-	mu = pt.check_partition(mu)
-	pt.require(pt.is_h_strict(mu, h), "node addition left the h-strict world: %r", mu)
-	return mu
-
-
-def _remove_nodes(lam, nodes, h):
-	lengths = list(lam)
-	by_row = {}
-	for r, c in nodes:
-		by_row.setdefault(r, []).append(c)
-	for r, cols in by_row.items():
-		pt.require(1 <= r <= len(lengths), "removed node outside the rows of %r", lam)
-		old = lengths[r - 1]
-		pt.require(sorted(cols) == list(range(old - len(cols) + 1, old + 1)),
-			"removed nodes do not truncate row %d of %r contiguously", r, lam)
-		lengths[r - 1] = old - len(cols)
-	mu = tuple(v for v in lengths if v)
-	mu = pt.check_partition(mu)
-	pt.require(pt.is_h_strict(mu, h), "node removal left the h-strict world: %r", mu)
+		new = old + sign * len(cols)
+		pt.require(sorted(cols) == list(range(min(old, new) + 1, max(old, new) + 1)),
+			"%s nodes do not move row %d of %r contiguously", verb, r, lam)
+		lengths[r - 1] = new
+	mu = pt.check_partition(v for v in lengths if v)
+	pt.require(pt.is_h_strict(mu, h), "%s nodes left the h-strict world: %r", verb, mu)
 	return mu
 
 
@@ -115,8 +104,8 @@ def psi(lam, i, h):
 	conorm = [(r, c) for c, r, sym in survivors if sym == "+"]
 	r, s = len(norm), len(conorm)
 	if s >= r:
-		return _add_nodes(lam, conorm[: s - r], h)
-	return _remove_nodes(lam, norm[s - r:], h)
+		return _move_nodes(lam, conorm[: s - r], h, 1)
+	return _move_nodes(lam, norm[s - r:], h, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +124,7 @@ def string_top(mu, h, policy="smallest"):
 	for i in order:
 		norm = normal_nodes(mu, i, h)
 		if norm:
-			nu = _remove_nodes(mu, norm, h)
+			nu = _move_nodes(mu, norm, h, -1)
 			pt.require(pt.is_restricted(nu, h),
 				"peel step left the restricted world: %r -> %r", mu, nu)
 			return nu, i, len(norm)

@@ -3,8 +3,10 @@
 Subcommands: block, core, cb, formula, diff, verify-pair, predict-spin.
 Everything is deterministic: identical invocations print identical bytes.
 Exit codes: 0 success, 1 usage error, 2 a discrepancy or failed check was
-found, 3 an internal assertion tripped.  A reader that closes stdout early
-(`barfock cb ... | head`) ends the run quietly with exit 0.
+found, 3 an internal assertion tripped or memory ran out (a cap set with
+BARFOCK_MAX_MB, say; one `error: out of memory` line on stderr, no
+traceback).  A reader that closes stdout early (`barfock cb ... | head`)
+ends the run quietly with exit 0.
 """
 
 import argparse
@@ -400,6 +402,11 @@ def main(argv=None):
 		return 1
 	except AssertionError as e:
 		sys.stderr.write("internal assertion failed: %s\n" % e)
+		return 3
+	except MemoryError:
+		cap = os.environ.get("BARFOCK_MAX_MB")
+		sys.stderr.write("error: out of memory%s\n"
+			% (" under BARFOCK_MAX_MB=%s" % cap if cap else ""))
 		return 3
 
 

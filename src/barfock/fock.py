@@ -1,14 +1,24 @@
 """Level-1 Fock space combinatorics: vectors, f/e operators.
 
 Vectors are finite Z[q,q^-1]-combinations of h-strict partitions.  The
-divided powers f_i^(k) and e_i^(k) act directly: summing over all ways of
-adding (removing) k nodes of residue i, with the usual q-coefficient read
-off the node configuration.  No quantum-group machinery is needed beyond
-that rule.
+divided powers f_i^(k) and e_i^(k) act directly: f_i^(k) lam sums over the
+mu obtained by adding k nodes of residue i, e_i^(k) lam over those obtained
+by removing k, and both read the coefficient off one node rule.  For each
+moved node, in column c, count the i-nodes of mu of the moving kind
+(addable for f, removable for e) minus the i-nodes of lam of the other kind
+(removable for f, addable for e): left of c for f, right of c for e.  With
+s the total, the coefficient is q_i^s, where q_i = q, q^2, q^4 for i = 0,
+0 < i < n, i = n.  For i = 0 each pair of columns {mh, mh+1} (m >= 1) of
+which only the outer one moved (mh+1 for f, mh for e) contributes a further
+factor 1 - (-q^2)^b, b the number of parts of lam equal to mh.  e is the
+mirror image of f: negating the columns turns "right of c" into "left of
+c", so one routine serves both.
 """
 
+from bisect import bisect_left
+
 from . import partitions as pt
-from .laurent import Laurent, ZERO, ONE, q_power, _q_i_exponent
+from .laurent import Laurent, ZERO, q_power, _q_i_exponent
 
 
 class FockVector:
@@ -44,7 +54,8 @@ class FockVector:
 		return len(self.terms)
 
 	def __add__(self, other):
-		assert isinstance(other, FockVector) and other.h == self.h
+		pt.require(isinstance(other, FockVector) and other.h == self.h,
+			"adding %r to a Fock vector of h=%d", other, self.h)
 		tt = dict(self.terms)
 		for lam, c in other.terms.items():
 			tt[lam] = tt.get(lam, ZERO) + c
@@ -86,73 +97,16 @@ class FockVector:
 		return "FockVector(h=%d, %s)" % (self.h, self)
 
 
-def _added_nodes(lam, mu):
-	"""Nodes of [mu] \\ [lam], requiring lam ⊆ mu rowwise."""
-	if len(mu) < len(lam):
-		raise ValueError("not a containment")
-	nodes = []
-	for r in range(len(mu)):
-		a = lam[r] if r < len(lam) else 0
-		if mu[r] < a:
-			raise ValueError("not a containment")
-		nodes.extend((r + 1, c) for c in range(a + 1, mu[r] + 1))
-	return nodes
-
-
-def n_coefficient_f(lam, mu, i, h):
-	"""Coefficient of mu in f_i^(k) lam, k the number of added nodes.
-
-	All added nodes must have residue i (ValueError otherwise).
+def _moves(lam, i, k, h, raising):
+	"""Each h-strict mu that lam reaches by adding (raising) or removing k
+	residue-i nodes, with the moved nodes' columns.  Every row moves its
+	right edge through its own options, so the residues hold by construction.
 	"""
-	nodes = _added_nodes(lam, mu)
-	if any(pt.residue(c, h) != i for _, c in nodes):
-		raise ValueError("added nodes are not all of residue %d" % i)
-	add_cols = sorted(c for _, c in pt.addable_i_nodes(mu, i, h))
-	rem_cols = sorted(c for _, c in pt.removable_i_nodes(lam, i, h))
-	s = 0
-	for _, c in nodes:
-		s += sum(1 for x in add_cols if x < c)
-		s -= sum(1 for x in rem_cols if x < c)
-	if i != 0:
-		return q_power(_q_i_exponent(i, h) * s)
-	coeff = q_power(s)
-	cols = set(c for _, c in nodes)
-	for m in range(1, max(cols) // h + 2):
-		if m * h + 1 in cols and m * h not in cols:
-			b = lam.count(m * h)
-			# 1 - (-q^2)^b
-			coeff = coeff * (Laurent(1) - Laurent({2 * b: (-1) ** b}))
-	return coeff
-
-
-def n_coefficient_e(lam, mu, i, h):
-	"""Coefficient of mu in e_i^(k) lam (mu ⊆ lam, k nodes removed)."""
-	nodes = _added_nodes(mu, lam)
-	if any(pt.residue(c, h) != i for _, c in nodes):
-		raise ValueError("removed nodes are not all of residue %d" % i)
-	rem_cols = sorted(c for _, c in pt.removable_i_nodes(mu, i, h))
-	add_cols = sorted(c for _, c in pt.addable_i_nodes(lam, i, h))
-	s = 0
-	for _, c in nodes:
-		s += sum(1 for x in rem_cols if x > c)
-		s -= sum(1 for x in add_cols if x > c)
-	if i != 0:
-		return q_power(_q_i_exponent(i, h) * s)
-	coeff = q_power(s)
-	cols = set(c for _, c in nodes)
-	for m in range(1, max(cols) // h + 1):
-		if m * h in cols and m * h + 1 not in cols:
-			b = lam.count(m * h)
-			coeff = coeff * (Laurent(1) - Laurent({2 * b: (-1) ** b}))
-	return coeff
-
-
-def _grow_targets(lam, i, k, h):
-	"""All h-strict mu ⊇ lam with [mu]\\[lam] equal to k residue-i nodes."""
 	rows = list(lam)
-	if i == 0:
+	if raising and i == 0:
 		rows.append(0)  # at most one new row can appear, and only for i = 0
-	opts = [pt._row_add_options(v, i, h) for v in rows]
+	sign = 1 if raising else -1
+	opts = [pt._row_options(v, i, h, sign) for v in rows]
 	out = []
 
 	def go(r, prev, used, acc):
@@ -160,72 +114,60 @@ def _grow_targets(lam, i, k, h):
 			return
 		if r == len(rows):
 			if used == k:
-				out.append(tuple(v for v in acc if v))
+				cols = [c for old, new in zip(rows, acc) if new != old
+					for c in range(min(old, new) + 1, max(old, new) + 1)]
+				out.append((tuple(v for v in acc if v), cols))
 			return
 		if used + 2 * (len(rows) - r) < k:
 			return  # cannot reach k any more
 		for v in opts[r]:
-			if v > prev:
+			if v > prev or (v == prev and v % h != 0):
 				continue
-			if v == prev and v != 0 and v % h != 0:
-				continue
-			go(r + 1, v, used + (v - rows[r]), acc + [v])
+			go(r + 1, v, used + sign * (v - rows[r]), acc + [v])
 
 	go(0, float("inf"), 0, [])
 	return out
 
 
-def _shrink_targets(lam, i, k, h):
-	"""All h-strict mu ⊆ lam with [lam]\\[mu] equal to k residue-i nodes."""
-	opts = [pt._row_strip_options(v, i, h) for v in lam]
-	out = []
-
-	def go(r, prev, used, acc):
-		if used > k:
-			return
-		if r == len(lam):
-			if used == k:
-				out.append(tuple(v for v in acc if v))
-			return
-		if used + 2 * (len(lam) - r) < k:
-			return
-		for v in opts[r]:
-			if v > prev:
-				continue
-			if v == prev and v != 0 and v % h != 0:
-				continue
-			go(r + 1, v, used + (lam[r] - v), acc + [v])
-
-	go(0, float("inf"), 0, [])
-	return out
+def _apply(vec, i, k, raising):
+	"""f_i^(k) (raising) or e_i^(k) (lowering) on a Fock vector; the
+	coefficient rule is the one in the module docstring."""
+	h = vec.h
+	if k == 0:
+		return vec
+	sign = 1 if raising else -1
+	moving, other = pt.addable_i_nodes, pt.removable_i_nodes
+	if not raising:
+		moving, other = other, moving
+	acc = {}
+	for lam, c in vec.terms.items():
+		blocking = sorted(sign * x for _, x in other(lam, i, h))
+		for mu, cols in _moves(lam, i, k, h, raising):
+			free = sorted(sign * x for _, x in moving(mu, i, h))
+			s = sum(bisect_left(free, sign * x) - bisect_left(blocking, sign * x)
+				for x in cols)
+			coeff = q_power(_q_i_exponent(i, h) * s)
+			if i == 0:
+				for x in cols:
+					# the outer column of a pair {mh, mh+1} moved alone
+					mh = x - 1 if raising else x
+					if mh and mh % h == 0 and x - sign not in cols:
+						b = lam.count(mh)
+						coeff = coeff * (Laurent(1) - Laurent({2 * b: (-1) ** b}))
+			nc = c * coeff
+			if nc:
+				acc[mu] = acc.get(mu, ZERO) + nc
+	return FockVector(h, acc)
 
 
 def apply_f(vec, i, k=1):
 	"""Divided power f_i^(k) applied to a Fock vector."""
-	h = vec.h
-	if k == 0:
-		return vec
-	acc = {}
-	for lam, c in vec.terms.items():
-		for mu in _grow_targets(lam, i, k, h):
-			nc = c * n_coefficient_f(lam, mu, i, h)
-			if nc:
-				acc[mu] = acc.get(mu, ZERO) + nc
-	return FockVector(h, acc)
+	return _apply(vec, i, k, True)
 
 
 def apply_e(vec, i, k=1):
 	"""Divided power e_i^(k) applied to a Fock vector."""
-	h = vec.h
-	if k == 0:
-		return vec
-	acc = {}
-	for lam, c in vec.terms.items():
-		for mu in _shrink_targets(lam, i, k, h):
-			nc = c * n_coefficient_e(lam, mu, i, h)
-			if nc:
-				acc[mu] = acc.get(mu, ZERO) + nc
-	return FockVector(h, acc)
+	return _apply(vec, i, k, False)
 
 
 def monomial_apply(seq, h):
@@ -237,5 +179,5 @@ def monomial_apply(seq, h):
 	v = FockVector.basis(h, ())
 	for i, k in seq:
 		v = apply_f(v, i, k)
-		assert v, "monomial killed the vector (bad peel sequence)"
+		pt.require(v, "monomial killed the vector (bad peel sequence)")
 	return v

@@ -251,8 +251,7 @@ def _between(lam, lo, hi):
 
 
 def _weight2_column(mu, block):
-	"""Column of mu as (value, label) per block member; the generic case
-	still carries its q_{lam,mu} normalisation which the caller divides out."""
+	"""Column of mu as (value, label) per block member."""
 	h = block.h
 	mu = tuple(mu)
 	sp = special_partitions(block.core, h)
@@ -275,7 +274,7 @@ def _weight2_column(mu, block):
 				out[lam] = (L("q^4"), "at yy")
 			else:
 				out[lam] = (Laurent(0), "")
-		return out, None
+		return out
 
 	if mu == sp.shp:
 		assert sp.flt is not None and sp.ppi is not None
@@ -295,7 +294,7 @@ def _weight2_column(mu, block):
 				out[lam] = (L("q^3"), "at ppi")
 			else:
 				out[lam] = (Laurent(0), "")
-		return out, None
+		return out
 
 	if mu == sp.xx:
 		assert sp.shp is not None and sp.flt is not None
@@ -315,7 +314,7 @@ def _weight2_column(mu, block):
 				out[lam] = (L("q^5 + q^3"), "at flt")
 			else:
 				out[lam] = (Laurent(0), "")
-		return out, None
+		return out
 
 	# generic column
 	mup = mu_plus(mu, block)
@@ -335,13 +334,7 @@ def _weight2_column(mu, block):
 			val = exact_div(val, L("q"))
 			label += "/q"
 		out[lam] = (val, label)
-	return out, mup
-
-
-def weight2_column(mu, block):
-	"""The formula's d_{lam,mu} column as a dict over block members."""
-	col, _ = _weight2_column(mu, block)
-	return {lam: v for lam, (v, _label) in col.items()}
+	return out
 
 
 def weight2_matrix(block, with_labels=False):
@@ -351,7 +344,7 @@ def weight2_matrix(block, with_labels=False):
 	labels = {}
 	cols = []
 	for mu in restricted:
-		col, _ = _weight2_column(mu, block)
+		col = _weight2_column(mu, block)
 		cols.append(col)
 		for lam, (_v, label) in col.items():
 			if label:

@@ -119,9 +119,6 @@ class Laurent:
 	def min_exp(self):
 		return min(self.c) if self.c else 0
 
-	def max_exp(self):
-		return max(self.c) if self.c else 0
-
 	# ---- canonical text form ----
 
 	def __str__(self):

@@ -49,10 +49,6 @@ def size(lam):
 	return sum(lam)
 
 
-def is_strict(lam):
-	return all(lam[r] > lam[r + 1] for r in range(len(lam) - 1))
-
-
 def is_h_strict(lam, h):
 	"""Repeats allowed only at multiples of h."""
 	return all(
@@ -100,22 +96,15 @@ def residue(c, h):
 # and is the unique optimum of the total.
 # ---------------------------------------------------------------------------
 
-def _row_strip_options(length, i, h):
-	"""New lengths a row of the given length may shrink to (all i-columns)."""
+def _row_options(length, i, h, sign):
+	"""New lengths a row may reach by adding (sign 1) or removing (sign -1)
+	i-nodes at its right edge, the unchanged length first."""
+	edge = length + (sign > 0)  # the first column to move
 	opts = [length]
-	if length >= 1 and residue(length, h) == i:
-		opts.append(length - 1)
-		if length >= 2 and residue(length - 1, h) == i:
-			opts.append(length - 2)
-	return opts
-
-
-def _row_add_options(length, i, h):
-	opts = [length]
-	if residue(length + 1, h) == i:
-		opts.append(length + 1)
-		if residue(length + 2, h) == i:
-			opts.append(length + 2)
+	if edge >= 1 and residue(edge, h) == i:
+		opts.append(length + sign)
+		if edge + sign >= 1 and residue(edge + sign, h) == i:
+			opts.append(length + 2 * sign)
 	return opts
 
 
@@ -125,8 +114,8 @@ def removable_i_nodes(lam, i, h):
 	nodes = []
 	below = 0
 	for r in range(len(lam) - 1, -1, -1):
-		# options are listed longest first; the unchanged length always fits
-		for v in reversed(_row_strip_options(lam[r], i, h)):
+		# the unchanged length comes first and always fits
+		for v in reversed(_row_options(lam[r], i, h, -1)):
 			if v > below or (v == below and v % h == 0):
 				break
 		nodes.extend((r + 1, c) for c in range(v + 1, lam[r] + 1))
@@ -143,8 +132,8 @@ def addable_i_nodes(lam, i, h):
 	nodes = []
 	above = float("inf")
 	for r, old in enumerate(lengths):
-		# options are listed shortest first; the unchanged length always fits
-		for v in reversed(_row_add_options(old, i, h)):
+		# the unchanged length comes first and always fits
+		for v in reversed(_row_options(old, i, h, 1)):
 			if v < above or (v == above and v % h == 0):
 				break
 		nodes.extend((r + 1, c) for c in range(old + 1, v + 1))
@@ -153,11 +142,19 @@ def addable_i_nodes(lam, i, h):
 
 
 def h_content(lam, h):
-	"""Residue counts of all nodes, as a tuple indexed by residue 0..n."""
-	counts = [0] * (n_of(h) + 1)
+	"""Residue counts of all nodes, as a tuple indexed by residue 0..n.
+
+	Each run of h columns holds residues 0..n-1 twice and n once; of the
+	r = part % h columns left over, residue j sits in column j + 1 and, for
+	j < n, in column h - j.
+	"""
+	n = n_of(h)
+	counts = [0] * (n + 1)
 	for part in lam:
-		for c in range(1, part + 1):
-			counts[residue(c, h)] += 1
+		runs, r = divmod(part, h)
+		for j in range(n):
+			counts[j] += 2 * runs + (r > j) + (r >= h - j)
+		counts[n] += runs + (r > n)
 	return tuple(counts)
 
 
@@ -203,7 +200,8 @@ def bar_core(lam, h):
 def bar_weight(lam, h):
 	core = bar_core(lam, h)
 	excess = size(lam) - size(core)
-	assert excess % h == 0, (lam, core)
+	require(excess % h == 0, "%r minus its bar-core %r is not a union of %d-bars",
+		lam, core, h)
 	return excess // h
 
 
@@ -267,24 +265,6 @@ def compare_colex(lam, mu):
 		if x != y:
 			return LESS if x > y else GREATER
 	raise AssertionError("unreachable")
-
-
-def colex_key(lam):
-	"""Sort key: sorted(partitions, key=colex_key) is colex ascending."""
-	return _ColexKey(tuple(lam))
-
-
-class _ColexKey:
-	__slots__ = ("p",)
-
-	def __init__(self, p):
-		self.p = p
-
-	def __lt__(self, other):
-		return compare_colex(self.p, other.p) == LESS
-
-	def __eq__(self, other):
-		return self.p == other.p
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,18 @@ def test_internal_assertion_exits_3(capsys, monkeypatch):
 	assert "internal assertion" in err
 
 
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+	def starve(block):
+		raise MemoryError()
+	monkeypatch.setattr(cli.canonical, "canonical_basis", starve)
+	monkeypatch.setenv("BARFOCK_MAX_MB", "")
+	code, out, err = run(capsys, "cb", "--h", "3", "--core", "()",
+		"--weight", "1")
+	assert code == 3 and out == ""
+	assert err.startswith("error: out of memory") and err.count("\n") == 1
+	assert "Traceback" not in err
+
+
 def test_verify_pair(capsys):
 	code, out, _ = run(capsys, "verify-pair", "--h", "7",
 		"--source-core", "(8,2,1)", "--i", "1")

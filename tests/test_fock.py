@@ -112,10 +112,6 @@ class TestOperatorLaws:
 		assert fock.apply_f(v, 0, 0) == v
 		assert fock.apply_e(v, 2, 0) == v
 
-	def test_residue_mismatch_rejected(self):
-		with pytest.raises(ValueError):
-			fock.n_coefficient_f((5, 4), (5, 4, 1), 1, 5)	# added node has residue 0
-
 
 class TestVectorBasics:
 	def test_algebra(self):

@@ -154,10 +154,8 @@ def dp_rows(opts_per_row, h, minimise):
 
 def dp_node_set(lam, i, h, direction):
 	lengths = list(lam) + ([0] if direction == "add" and i == 0 else [])
-	if direction == "add":
-		opts = [pt._row_add_options(v, i, h) for v in lengths]
-	else:
-		opts = [pt._row_strip_options(v, i, h) for v in lengths]
+	sign = 1 if direction == "add" else -1
+	opts = [pt._row_options(v, i, h, sign) for v in lengths]
 	chosen = dp_rows(opts, h, minimise=direction == "remove")
 	nodes = []
 	for r, (old, new) in enumerate(zip(lengths, chosen)):
@@ -175,6 +173,22 @@ def test_greedy_node_sets_match_dp(h):
 					dp_node_set(lam, i, h, "add"), (lam, i)
 				assert pt.removable_i_nodes(lam, i, h) == \
 					dp_node_set(lam, i, h, "remove"), (lam, i)
+
+
+def node_content(lam, h):
+	"""h-content by walking every node: the definition."""
+	counts = [0] * (pt.n_of(h) + 1)
+	for part in lam:
+		for c in range(1, part + 1):
+			counts[pt.residue(c, h)] += 1
+	return tuple(counts)
+
+
+@pytest.mark.parametrize("h", sorted(MEMBER_BOUNDS))
+def test_h_content_matches_node_count(h):
+	for m in range(MEMBER_BOUNDS[h] + 1):
+		for lam in pt.enumerate_h_strict(m, h):
+			assert pt.h_content(lam, h) == node_content(lam, h), lam
 
 
 def test_node_sets_at_repeated_multiples_of_h():
