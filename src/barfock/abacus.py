@@ -131,7 +131,7 @@ def bar_positions(lam, block):
 	"""The two integers recorded when unmaking a bar-weight-2 partition.
 
 	Every removal order must record the same unordered pair; that is
-	asserted here rather than assumed.  Returned as (a, b) with a <= b.
+	checked here rather than assumed.  Returned as (a, b) with a <= b.
 	"""
 	h = block.h
 	if block.weight != 2 or pt.bar_core(lam, h) != block.core:
@@ -141,8 +141,8 @@ def bar_positions(lam, block):
 		for nu, rec2 in pt.remove_h_bar_all(mu, h):
 			if nu == block.core:
 				pairs.add((min(rec1, rec2), max(rec1, rec2)))
-	assert len(pairs) == 1, \
-		"bar positions depend on removal order for %r: %r" % (lam, pairs)
+	pt.require(len(pairs) == 1,
+		"bar positions depend on removal order for %r: %r", lam, pairs)
 	return next(iter(pairs))
 
 
@@ -152,7 +152,7 @@ class BarTag:
 	__slots__ = ("kind", "values")
 
 	def __init__(self, kind, values):
-		assert kind in ("pair", "single")
+		pt.require(kind in ("pair", "single"), "bar tag kind %r", kind)
 		self.kind = kind
 		self.values = tuple(values)
 
@@ -184,17 +184,18 @@ def abacus_notation(lam, block):
 	h = block.h
 	a, b = bar_positions(lam, block)
 	if a == b:
-		assert a == h, "equal bar positions can only both be h"
+		pt.require(a == h, "equal bar positions can only both be h")
 		return pair_tag(0, 0)
 	i, j = runner(a, h), runner(b, h)
 	if i != j and i != -j:
 		return pair_tag(i, j)
 	if b == a + h:
-		assert i == j
+		pt.require(i == j, "bar positions %d, %d an h apart on runners %d, %d", a, b, i, j)
 		plain = a not in lam
 	else:
-		assert a < b and a + b == 2 * h and j == -i and i < 0
+		pt.require(a < b and a + b == 2 * h and j == -i and i < 0,
+			"bar positions %d, %d on runners %d, %d fit no single tag", a, b, i, j)
 		plain = (h - a) in lam
 	# a negated runner-0 tag would need a third bar; it cannot happen
-	assert plain or i != 0, "unreachable negated <0> tag"
+	pt.require(plain or i != 0, "unreachable negated <0> tag")
 	return single_tag(i if plain else -i)

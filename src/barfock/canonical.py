@@ -238,6 +238,7 @@ def canonical_basis(block, peel_policy="smallest"):
 	restricted = [p for p in parts if pt.is_restricted(p, h)]
 	G = {(): fock.FockVector.basis(h, ())}
 	coeffs = {}  # one shared object per distinct coefficient keeps G small
+	contents = {}  # h-content per partition: columns share most of their terms
 
 	def column(mu):
 		if mu in G:
@@ -277,7 +278,9 @@ def canonical_basis(block, peel_policy="smallest"):
 		for lam, c in terms.items():
 			pt.require(lam in members or not inside,
 				"%s: leaks outside the block at %r", where, lam)
-			pt.require(pt.h_content(lam, h) == content,
+			if lam not in contents:
+				contents[lam] = pt.h_content(lam, h)
+			pt.require(contents[lam] == content,
 				"%s: h-content differs at %r", where, lam)
 			if lam != mu:
 				pt.require(c.divisible_by_q(),

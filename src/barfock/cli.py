@@ -5,8 +5,10 @@ Everything is deterministic: identical invocations print identical bytes.
 Exit codes: 0 success, 1 usage error, 2 a discrepancy or failed check was
 found, 3 an internal assertion tripped or memory ran out (a cap set with
 BARFOCK_MAX_MB, say; one `error: out of memory` line on stderr, no
-traceback).  A reader that closes stdout early (`barfock cb ... | head`)
-ends the run quietly with exit 0.
+traceback).  A check or a bad value that fails inside `diff` names its
+block (`h=5 core=(1) w=2: ...`), also when it fails in a --jobs worker.  A
+reader that closes stdout early (`barfock cb ... | head`) ends the run
+quietly with exit 0.
 """
 
 import argparse
@@ -252,8 +254,14 @@ def cmd_formula(args):
 def _diff_one(job):
 	h, core, weight = job
 	block = pt.BlockId(h, core, weight)
-	oracle = canonical.canonical_basis(block)
-	formula = formulas.formula_matrix(block)
+	try:
+		oracle = canonical.canonical_basis(block)
+		formula = formulas.formula_matrix(block)
+	except (AssertionError, ValueError) as e:
+		# a worker's traceback stays in its process: name the block here
+		text = str(e) if str(e).startswith(str(block)) else "%s: %s" % (block, e)
+		kind = pt.InvariantError if isinstance(e, AssertionError) else ValueError
+		raise kind(text) from e
 	if oracle == formula:
 		return (job, None)
 	for lam in oracle.rows:

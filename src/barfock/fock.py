@@ -13,12 +13,29 @@ which only the outer one moved (mh+1 for f, mh for e) contributes a further
 factor 1 - (-q^2)^b, b the number of parts of lam equal to mh.  e is the
 mirror image of f: negating the columns turns "right of c" into "left of
 c", so one routine serves both.
+
+Both operators are linear, so they act term by term: the image of one
+partition, f_i^(k) lam or e_i^(k) lam as a tuple of (mu, coefficient), is
+computed once per (lam, i, k, h, direction) and kept in one LRU cache of
+IMAGE_CACHE_SIZE entries; a vector's image is the sum of its terms' images
+scaled by their coefficients.  Overlapping canonical-basis columns reach
+the same partitions again and again, within a block and across blocks, and
+the cache is keyed by the whole input, so every caller (the oracle on
+every block, the pair checks) shares it.  Sharing is safe because an
+image is immutable: a tuple of tuples of partitions and Laurent values, and
+callers get a fresh FockVector built from it.  Equal coefficients are one
+Laurent object, which keeps the cached images small.
 """
 
 from bisect import bisect_left
+from functools import lru_cache
 
 from . import partitions as pt
-from .laurent import Laurent, ZERO, q_power, _q_i_exponent
+from .laurent import Laurent, ONE, ZERO, q_power, _q_i_exponent
+
+# images kept by _image: twice the 6,217 distinct images of the h=7 w=6
+# block, so the largest blocks in use never evict their own working set
+IMAGE_CACHE_SIZE = 1 << 14
 
 
 class FockVector:
@@ -129,34 +146,52 @@ def _moves(lam, i, k, h, raising):
 	return out
 
 
-def _apply(vec, i, k, raising):
-	"""f_i^(k) (raising) or e_i^(k) (lowering) on a Fock vector; the
-	coefficient rule is the one in the module docstring."""
-	h = vec.h
-	if k == 0:
-		return vec
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _image(lam, i, k, h, raising):
+	"""f_i^(k) lam (raising) or e_i^(k) lam (lowering) on one basis vector,
+	as a tuple of (mu, coefficient); the coefficient rule is the one in the
+	module docstring."""
 	sign = 1 if raising else -1
 	moving, other = pt.addable_i_nodes, pt.removable_i_nodes
 	if not raising:
 		moving, other = other, moving
+	blocking = sorted(sign * x for _, x in other(lam, i, h))
+	out = []
+	for mu, cols in _moves(lam, i, k, h, raising):
+		free = sorted(sign * x for _, x in moving(mu, i, h))
+		s = sum(bisect_left(free, sign * x) - bisect_left(blocking, sign * x)
+			for x in cols)
+		bs = []
+		if i == 0:
+			for x in cols:
+				# the outer column of a pair {mh, mh+1} moved alone
+				mh = x - 1 if raising else x
+				if mh and mh % h == 0 and x - sign not in cols:
+					bs.append(lam.count(mh))
+		out.append((mu, _coefficient(_q_i_exponent(i, h) * s, tuple(sorted(bs)))))
+	return tuple(out)
+
+
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _coefficient(e, bs):
+	"""q^e times 1 - (-q^2)^b for each b in bs, one object per value."""
+	coeff = q_power(e)
+	for b in bs:
+		coeff = coeff * (ONE - Laurent({2 * b: (-1) ** b}))
+	return coeff
+
+
+def _apply(vec, i, k, raising):
+	"""f_i^(k) (raising) or e_i^(k) (lowering) on a Fock vector: the sum of
+	its terms' cached images, each scaled by the term's coefficient."""
+	if k == 0:
+		return vec
+	h = vec.h
 	acc = {}
 	for lam, c in vec.terms.items():
-		blocking = sorted(sign * x for _, x in other(lam, i, h))
-		for mu, cols in _moves(lam, i, k, h, raising):
-			free = sorted(sign * x for _, x in moving(mu, i, h))
-			s = sum(bisect_left(free, sign * x) - bisect_left(blocking, sign * x)
-				for x in cols)
-			coeff = q_power(_q_i_exponent(i, h) * s)
-			if i == 0:
-				for x in cols:
-					# the outer column of a pair {mh, mh+1} moved alone
-					mh = x - 1 if raising else x
-					if mh and mh % h == 0 and x - sign not in cols:
-						b = lam.count(mh)
-						coeff = coeff * (Laurent(1) - Laurent({2 * b: (-1) ** b}))
+		for mu, coeff in _image(lam, i, k, h, raising):
 			nc = c * coeff
-			if nc:
-				acc[mu] = acc.get(mu, ZERO) + nc
+			acc[mu] = acc[mu] + nc if mu in acc else nc
 	return FockVector(h, acc)
 
 

@@ -21,7 +21,7 @@ from .laurent import parse as L
 # ---------------------------------------------------------------------------
 
 def weight0_matrix(block):
-	assert block.weight == 0
+	pt.require(block.weight == 0, "weight-0 formula on a weight-%d block", block.weight)
 	return CanonicalBasisMatrix(block, [block.core], [block.core], [[ONE]])
 
 
@@ -41,16 +41,18 @@ def weight1_chain(tau, h):
 	for b in range(n + 1, h):
 		if b not in tau and h - b not in tau:
 			entries.append((b, pt.union(tau, (b, h - b))))
-	assert len(entries) == n + 1, "weight-1 block of wrong size over %r" % (tau,)
-	assert len(set(idx for idx, _ in entries)) == n + 1
+	pt.require(len(entries) == n + 1, "weight-1 block of wrong size over %r", tau)
+	pt.require(len(set(idx for idx, _ in entries)) == n + 1,
+		"weight-1 chain over %r repeats a bar position", tau)
 	entries.sort()
 	chain = [lam for _, lam in entries]
 	for r in range(n):
-		assert pt.compare_dominance(chain[r], chain[r + 1]) == pt.LESS, \
-			"weight-1 chain not dominance-sorted over %r" % (tau,)
-		assert pt.is_restricted(chain[r], h)
-	assert not pt.is_restricted(chain[n], h), \
-		"top of the weight-1 chain should not be restricted"
+		pt.require(pt.compare_dominance(chain[r], chain[r + 1]) == pt.LESS,
+			"weight-1 chain not dominance-sorted over %r", tau)
+		pt.require(pt.is_restricted(chain[r], h),
+			"weight-1 chain member %r is not restricted", chain[r])
+	pt.require(not pt.is_restricted(chain[n], h),
+		"top of the weight-1 chain should not be restricted")
 	return chain
 
 
@@ -59,9 +61,9 @@ def weight1_matrix(tau, h):
 	of q's and q^2's, depending on whether the row partition contains h."""
 	block = pt.BlockId(h, tuple(tau), 1)
 	chain = weight1_chain(block.core, h)
-	assert chain == sorted(chain), "weight-1 chain should already be lex-sorted"
-	assert chain == pt.enumerate_block(block), \
-		"weight-1 chain misses block members over %r" % (tau,)
+	pt.require(chain == sorted(chain), "weight-1 chain should already be lex-sorted")
+	pt.require(chain == pt.enumerate_block(block),
+		"weight-1 chain misses block members over %r", tau)
 	cols = chain[:-1]
 	entries = []
 	for r, lam in enumerate(chain):
@@ -95,7 +97,7 @@ def _leg(c, lam, tau, h):
 	common = pt.intersect(lam, tau)
 	if c >= h:
 		return pt.count_between(common, c - h, c)
-	assert pt.n_of(h) < c < h
+	pt.require(pt.n_of(h) < c < h, "bar position %d out of range for h=%d", c, h)
 	return (h - c) + pt.count_between(common, h - c, c)
 
 
@@ -188,7 +190,7 @@ def special_partitions(tau, h):
 	n = pt.n_of(h)
 	gam = pt.gamma(tau, h)
 	free = [a for a in range(1, n + 1) if a not in tau and h - a not in tau]
-	assert len(free) == n - gam
+	pt.require(len(free) == n - gam, "free positions of %r do not number n - gamma", tau)
 
 	xx = shp = flt = yy = None
 	nat = pt.union(tau, (h, h))
@@ -214,9 +216,9 @@ def special_partitions(tau, h):
 
 	out = SpecialSet(tau=tau, h=h, xx=xx, shp=shp, nat=nat, flt=flt, ppi=ppi, yy=yy)
 	for name, lam in out.named().items():
-		assert pt.is_h_strict(lam, h), (name, lam)
-		assert pt.bar_core(lam, h) == tau, (name, lam)
-		assert pt.size(lam) == pt.size(tau) + 2 * h, (name, lam)
+		pt.require(pt.is_h_strict(lam, h), "%s = %r is not h-strict", name, lam)
+		pt.require(pt.bar_core(lam, h) == tau, "%s = %r has the wrong bar core", name, lam)
+		pt.require(pt.size(lam) == pt.size(tau) + 2 * h, "%s = %r has the wrong size", name, lam)
 	return out
 
 
@@ -226,7 +228,7 @@ def special_partitions(tau, h):
 
 def mu_plus(mu, block):
 	"""The least partition strictly dominating mu with the same leg spread
-	and colour.  The candidates form a chain; both facts are asserted."""
+	and colour.  The candidates form a chain; both facts are checked."""
 	mu = tuple(mu)
 	prof = weight2_profile(mu, block)
 	cands = []
@@ -236,13 +238,13 @@ def mu_plus(mu, block):
 		p = weight2_profile(lam, block)
 		if p.spread == prof.spread and p.colour == prof.colour:
 			cands.append(lam)
-	assert cands, "no like-shaped partition above %r" % (mu,)
+	pt.require(cands, "no like-shaped partition above %r", mu)
 	for x in cands:
 		for y in cands:
-			assert pt.compare_dominance(x, y) != pt.INCOMPARABLE, \
-				"like-shaped partitions above %r do not form a chain" % (mu,)
+			pt.require(pt.compare_dominance(x, y) != pt.INCOMPARABLE,
+				"like-shaped partitions above %r do not form a chain", mu)
 	least = [c for c in cands if all(pt.dominates(d, c) for d in cands)]
-	assert len(least) == 1
+	pt.require(len(least) == 1, "no least like-shaped partition above %r", mu)
 	return least[0]
 
 
@@ -259,7 +261,7 @@ def _weight2_column(mu, block):
 	out = {}
 
 	if mu == sp.nat:
-		assert sp.yy is not None and sp.ppi is not None
+		pt.require(sp.yy is not None and sp.ppi is not None, "natural column without yy and ppi")
 		for lam in members:
 			d = weight2_profile(lam, block).spread
 			if lam == mu:
@@ -277,7 +279,7 @@ def _weight2_column(mu, block):
 		return out
 
 	if mu == sp.shp:
-		assert sp.flt is not None and sp.ppi is not None
+		pt.require(sp.flt is not None and sp.ppi is not None, "sharp column without flat and ppi")
 		for lam in members:
 			d = weight2_profile(lam, block).spread
 			if lam == mu:
@@ -297,7 +299,7 @@ def _weight2_column(mu, block):
 		return out
 
 	if mu == sp.xx:
-		assert sp.shp is not None and sp.flt is not None
+		pt.require(sp.shp is not None and sp.flt is not None, "xx column without sharp and flat")
 		for lam in members:
 			d = weight2_profile(lam, block).spread
 			if lam == mu:
@@ -338,7 +340,7 @@ def _weight2_column(mu, block):
 
 
 def weight2_matrix(block, with_labels=False):
-	assert block.weight == 2
+	pt.require(block.weight == 2, "weight-2 formula on a weight-%d block", block.weight)
 	members = pt.enumerate_block(block)
 	restricted = [p for p in members if pt.is_restricted(p, block.h)]
 	labels = {}

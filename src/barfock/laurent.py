@@ -53,12 +53,12 @@ class Laurent:
 				c[e] = w
 			elif e in c:
 				del c[e]
-		return Laurent(c)
+		return _from_map(c)
 
 	__radd__ = __add__
 
 	def __neg__(self):
-		return Laurent({e: -v for e, v in self.c.items()})
+		return _from_map({e: -v for e, v in self.c.items()})
 
 	def __sub__(self, other):
 		return self + (-_coerce(other))
@@ -68,16 +68,21 @@ class Laurent:
 
 	def __mul__(self, other):
 		other = _coerce(other)
+		a, b = (self.c, other.c) if len(self.c) >= len(other.c) else (other.c, self.c)
+		if len(b) == 1:
+			# times a monomial: nothing can cancel
+			(e2, v2), = b.items()
+			return _from_map({e1 + e2: v1 * v2 for e1, v1 in a.items()})
 		c = {}
-		for e1, v1 in self.c.items():
-			for e2, v2 in other.c.items():
+		for e1, v1 in a.items():
+			for e2, v2 in b.items():
 				e = e1 + e2
 				w = c.get(e, 0) + v1 * v2
 				if w:
 					c[e] = w
 				elif e in c:
 					del c[e]
-		return Laurent(c)
+		return _from_map(c)
 
 	__rmul__ = __mul__
 
@@ -100,11 +105,11 @@ class Laurent:
 
 	def shift(self, m):
 		"""Multiply by q^m."""
-		return Laurent({e + m: v for e, v in self.c.items()})
+		return _from_map({e + m: v for e, v in self.c.items()})
 
 	def bar(self):
 		"""The involution q -> q^-1."""
-		return Laurent({-e: v for e, v in self.c.items()})
+		return _from_map({-e: v for e, v in self.c.items()})
 
 	def eval_at_one(self):
 		return sum(self.c.values())
@@ -140,6 +145,20 @@ class Laurent:
 
 	def __repr__(self):
 		return "Laurent<%s>" % self
+
+
+_new = object.__new__
+_set_c = Laurent.__dict__["c"].__set__
+_set_hash = Laurent.__dict__["_hash"].__set__
+
+
+def _from_map(c):
+	"""A Laurent over c, which must already be zero-free; the arithmetic
+	builds only such maps, so it skips the public constructor's checks."""
+	out = _new(Laurent)
+	_set_c(out, c)
+	_set_hash(out, None)
+	return out
 
 
 def _coerce(x):

@@ -39,10 +39,10 @@ def detect_pairs(sigma, h):
 		add = pt.addable_i_nodes(sigma, i, h)
 		if not add:
 			continue
-		assert not pt.removable_i_nodes(sigma, i, h), \
-			"a core cannot have addable and removable %d-nodes at once" % i
+		pt.require(not pt.removable_i_nodes(sigma, i, h),
+			"a core cannot have addable and removable %d-nodes at once", i)
 		tau = psi(sigma, i, h)
-		assert pt.is_core(tau, h), "partner of a core should be a core"
+		pt.require(pt.is_core(tau, h), "partner of a core should be a core")
 		k = len(add)
 		if i == 0:
 			kind = "zero-residue"
@@ -53,7 +53,8 @@ def detect_pairs(sigma, h):
 			elif c % h == i + 1:
 				kind = "A"  # column ah + i + 1 with a >= 1
 			else:
-				assert (c + i) % h == 0
+				pt.require((c + i) % h == 0,
+					"addable %d-node of %r in column %d fits no pair kind", i, sigma, c)
 				kind = "C"  # column ah - i with a >= 1
 		else:
 			kind = "generic"
@@ -119,14 +120,14 @@ def _expected_tags(d, shape):
 
 
 def _dominance_sorted_triple(lams):
-	assert len(lams) == 3
+	pt.require(len(lams) == 3, "expected three exceptional partitions, got %d", len(lams))
 	out = []
 	for x in lams:
 		others = [y for y in lams if y != x]
 		rank = sum(1 for y in others if pt.strictly_dominates(x, y))
 		out.append((rank, x))
 	ranks = sorted(r for r, _ in out)
-	assert ranks == [0, 1, 2], "exceptional partitions do not form a chain"
+	pt.require(ranks == [0, 1, 2], "exceptional partitions do not form a chain")
 	return tuple(x for _, x in sorted(out))
 
 
@@ -142,20 +143,20 @@ def exceptional_triples(d, w=2):
 		if not is_unexceptional(lam, d, "source")]
 	exc_t = [lam for lam in pt.enumerate_block(tblock)
 		if not is_unexceptional(lam, d, "target")]
-	assert len(exc_s) == 3 and len(exc_t) == 3, \
-		"expected three exceptional partitions on each side, got %d/%d" \
-		% (len(exc_s), len(exc_t))
+	pt.require(len(exc_s) == 3 and len(exc_t) == 3,
+		"expected three exceptional partitions on each side, got %d/%d",
+		len(exc_s), len(exc_t))
 	a, b, g = _dominance_sorted_triple(exc_s)
 	ah, bh, gh = _dominance_sorted_triple(exc_t)
 	src_tags, tgt_tags = _expected_tags(d, shape)
 	got_src = tuple(abacus.abacus_notation(x, sblock) for x in (a, b, g))
 	got_tgt = tuple(abacus.abacus_notation(x, tblock) for x in (ah, bh, gh))
-	assert got_src == src_tags, \
-		"source tags %s do not match the %s pattern %s" % (got_src, d.kind, src_tags)
-	assert got_tgt == tgt_tags, \
-		"target tags %s do not match the %s pattern %s" % (got_tgt, d.kind, tgt_tags)
-	assert psi(a, d.i, h) == ah and psi(b, d.i, h) == gh and psi(g, d.i, h) == bh, \
-		"signature involution does not permute the triples as expected"
+	pt.require(got_src == src_tags,
+		"source tags %s do not match the %s pattern %s", got_src, d.kind, src_tags)
+	pt.require(got_tgt == tgt_tags,
+		"target tags %s do not match the %s pattern %s", got_tgt, d.kind, tgt_tags)
+	pt.require(psi(a, d.i, h) == ah and psi(b, d.i, h) == gh and psi(g, d.i, h) == bh,
+		"signature involution does not permute the triples as expected")
 	return ExceptionalTriples(a, b, g, ah, bh, gh)
 
 

@@ -3,6 +3,7 @@ subprocess where the process itself matters: a closed stdout)."""
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 
 import barfock.cli as cli
 import barfock.canonical
+import barfock.partitions as pt
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
@@ -136,6 +138,36 @@ def test_diff_discrepancy_exits_2(capsys, monkeypatch):
 		"--max-core-size", "2", "--jobs", "1")
 	assert code == 2
 	assert "DISCREPANCY" in out
+
+
+@pytest.mark.parametrize("error,code", [
+	(pt.InvariantError("column (1) is not unitriangular"), 3),
+	(AssertionError("synthetic failure"), 3),
+	(ValueError("residue 9 out of range"), 1),
+])
+def test_diff_failure_names_the_block(capsys, monkeypatch, error, code):
+	def broken(block):
+		raise error
+	monkeypatch.setattr(cli.canonical, "canonical_basis", broken)
+	kind = AssertionError if code == 3 else ValueError
+	with pytest.raises(kind) as info:
+		cli._diff_one((5, (1,), 2))
+	# a --jobs N worker hands its exception back pickled
+	again = pickle.loads(pickle.dumps(info.value))
+	assert isinstance(again, kind) and str(again) == "h=5 core=(1) w=2: %s" % error
+	got, out, err = run(capsys, "diff", "--h", "3", "--weight", "1",
+		"--max-core-size", "2", "--jobs", "1")
+	assert got == code and out == ""
+	assert "h=3 core=() w=1: %s" % error in err and err.count("\n") == 1
+
+
+def test_diff_failure_named_once(monkeypatch):
+	# oracle messages already start with the block; it is not repeated
+	def broken(block):
+		raise pt.InvariantError("%s, column (1): leading coefficient is not 1" % block)
+	monkeypatch.setattr(cli.canonical, "canonical_basis", broken)
+	with pytest.raises(pt.InvariantError, match=r"^h=5 core=\(1\) w=2, column \(1\)"):
+		cli._diff_one((5, (1,), 2))
 
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])

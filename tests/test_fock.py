@@ -129,3 +129,43 @@ class TestVectorBasics:
 		b = vec(5, ((6, 3), "q^2"))
 		obj = b.to_json_obj()
 		assert obj == [["(6,3)", "q^2"]]
+
+
+class TestImageCache:
+	"""f/e act term by term through cached per-partition images."""
+
+	@pytest.mark.parametrize("h", [3, 5, 7])
+	@pytest.mark.parametrize("op", [fock.apply_f, fock.apply_e])
+	def test_vector_is_sum_of_fresh_images(self, h, op):
+		# every h-strict partition of two sizes, signed and shifted
+		# coefficients so that images overlap and can cancel
+		lams = pt.enumerate_h_strict(9, h) + pt.enumerate_h_strict(10, h)
+		v = fock.FockVector(h, {lam: parse("q^%d - %d" % (j % 3, 1 + j % 2))
+			for j, lam in enumerate(lams)})
+		for i in range(pt.n_of(h) + 1):
+			for k in (1, 2, 3):
+				fock._image.cache_clear()
+				want = fock.FockVector(h, {})
+				for lam, c in v.terms.items():
+					want = want + op(basis(h, lam), i, k).scale(c)
+				hits = fock._image.cache_info().hits
+				assert op(v, i, k) == want, (i, k)
+				assert fock._image.cache_info().hits - hits == len(v)
+
+	def test_images_are_immutable_and_share_coefficients(self):
+		lam = (5, 4)
+		image = fock._image(lam, 0, 1, 5, True)
+		assert isinstance(image, tuple)
+		assert all(isinstance(term, tuple) for term in image)
+		assert fock._image(lam, 0, 1, 5, True) is image
+		# a caller that edits its result leaves the cached image alone
+		got = fock.apply_f(basis(5, lam), 0, 1)
+		got.terms.clear()
+		assert fock.apply_f(basis(5, lam), 0, 1) == vec(5,
+			((5, 4, 1), "1"), ((5, 5), "q"), ((6, 4), "q^2 + q^4"))
+		# equal coefficients are one object
+		other = fock._image((4,), 0, 1, 5, True)
+		assert dict(other)[(4, 1)] is dict(image)[(5, 4, 1)]
+
+	def test_cache_is_bounded(self):
+		assert fock._image.cache_info().maxsize == fock.IMAGE_CACHE_SIZE

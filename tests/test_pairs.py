@@ -1,5 +1,10 @@
 """Block pairs under psi_i: detection, exceptional structure, verification."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 import barfock.partitions as pt
@@ -303,3 +308,36 @@ class TestTables:
 		assert not (set(pr.FORBIDDEN_21) & lefts21)
 		lefts23 = {row[0] for row in pr.TABLE_23}
 		assert not (set(pr.FORBIDDEN_23) & lefts23)
+
+
+def test_pair_and_formula_checks_survive_optimised_mode():
+	# python -O strips asserts, but not these checks: a psi that fixes
+	# everything breaks the triples' permutation, a reversed weight-1 chain
+	# breaks the formula's lex order
+	script = textwrap.dedent("""
+		import barfock.formulas as fm
+		import barfock.pairs as pr
+		import barfock.partitions as pt
+		assert False, "reached only without -O"
+		d = [x for x in pr.detect_pairs((8, 2, 1), 7) if x.i == 1][0]
+		pr.psi = lambda lam, i, h: lam
+		try:
+			pr.exceptional_triples(d)
+		except pt.InvariantError as e:
+			print(e)
+		real = fm.weight1_chain
+		fm.weight1_chain = lambda tau, h: real(tau, h)[::-1]
+		try:
+			fm.weight1_matrix((4, 2), 7)
+		except pt.InvariantError as e:
+			print(e)
+	""")
+	src = os.path.dirname(os.path.dirname(os.path.abspath(pr.__file__)))
+	proc = subprocess.run([sys.executable, "-O", "-c", script],
+		capture_output=True, text=True, timeout=120,
+		env=dict(os.environ, PYTHONPATH=src))
+	assert proc.returncode == 0, proc.stderr
+	assert proc.stdout.splitlines() == [
+		"signature involution does not permute the triples as expected",
+		"weight-1 chain should already be lex-sorted",
+	]
