@@ -91,20 +91,6 @@ def from_partition(lam, h):
 	return AbacusDisplay(h, delta)
 
 
-def to_partition(a):
-	parts = []
-	for p, v in a.delta.items():
-		if p > 0:
-			occ = a.occupancy(p)
-			if occ < 0 or (occ > 1 and p % a.h != 0):
-				raise ValueError("display is not a partition display")
-			parts.extend([p] * occ)
-	lam = tuple(sorted(parts, reverse=True))
-	if from_partition(lam, a.h) != a:
-		raise ValueError("display is not a partition display")
-	return lam
-
-
 def core_via_abacus(a):
 	"""Flush every runner and read off the resulting partition.
 

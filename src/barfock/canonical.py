@@ -40,11 +40,6 @@ def _signature_nodes(lam, i, h):
 	return merged
 
 
-def i_signature(lam, i, h):
-	"""The word of +/- symbols, ascending column order."""
-	return "".join(sym for _, _, sym in _signature_nodes(lam, i, h))
-
-
 def _reduce_signature(nodes):
 	"""Cancel adjacent +- pairs (stack style); survivors keep their order."""
 	stack = []
@@ -56,20 +51,10 @@ def _reduce_signature(nodes):
 	return stack
 
 
-def reduced_i_signature(lam, i, h):
-	return "".join(sym for _, _, sym in _reduce_signature(_signature_nodes(lam, i, h)))
-
-
 def normal_nodes(lam, i, h):
 	"""Surviving removable nodes, as (row, col) ascending by column."""
 	return [(r, c) for c, r, sym in _reduce_signature(_signature_nodes(lam, i, h))
 		if sym == "-"]
-
-
-def conormal_nodes(lam, i, h):
-	"""Surviving addable nodes, as (row, col) ascending by column."""
-	return [(r, c) for c, r, sym in _reduce_signature(_signature_nodes(lam, i, h))
-		if sym == "+"]
 
 
 def _move_nodes(lam, nodes, h, sign):

@@ -100,7 +100,7 @@ def build_parser():
 	p.add_argument("--weight", type=int, required=True)
 	p.add_argument("--max-core-size", type=int, required=True)
 	p.add_argument("--jobs", type=int, default=1)
-	fmt(p)
+	p.add_argument("--format", choices=("table", "json"), default="table")
 
 	p = sub.add_parser("verify-pair", help="run all checks on one linked pair "
 		"of blocks")

@@ -4,7 +4,10 @@ Weight 0 is trivial, weight 1 is a single dominance chain, and weight 2
 works off three statistics of a partition: its pair of bar positions, the
 leg lengths of those bars, and a three-valued colour.  Four column shapes
 exist at weight 2 -- a generic one and three sporadic ones attached to
-the named special partitions of the block.
+the named special partitions of the block.  The sporadic shapes are one
+table of clauses (`at x`, `chain(lo,hi)`), read by one loop that also
+names each entry's clause as its provenance label.  A weight-2 block is
+enumerated, and its special partitions found, once per matrix.
 """
 
 from dataclasses import dataclass
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from . import abacus
 from . import partitions as pt
 from .canonical import CanonicalBasisMatrix
-from .laurent import ONE, Laurent, exact_div, q_power
+from .laurent import ONE, ZERO, exact_div, q_power
 from .laurent import parse as L
 
 
@@ -59,24 +62,27 @@ def weight1_chain(tau, h):
 def weight1_matrix(tau, h):
 	"""Decomposition matrix of a weight-1 block: identity plus a subdiagonal
 	of q's and q^2's, depending on whether the row partition contains h."""
-	block = pt.BlockId(h, tuple(tau), 1)
+	return _weight1(pt.BlockId(h, tuple(tau), 1))[0]
+
+
+def _weight1(block):
+	"""The weight-1 matrix and its provenance labels."""
+	h = block.h
 	chain = weight1_chain(block.core, h)
 	pt.require(chain == sorted(chain), "weight-1 chain should already be lex-sorted")
 	pt.require(chain == pt.enumerate_block(block),
-		"weight-1 chain misses block members over %r", tau)
+		"weight-1 chain misses block members over %r", block.core)
 	cols = chain[:-1]
-	entries = []
-	for r, lam in enumerate(chain):
-		row = []
-		for s in range(len(cols)):
-			if r == s:
-				row.append(ONE)
-			elif r == s + 1:
-				row.append(q_power(1) if h in lam else q_power(2))
-			else:
-				row.append(Laurent(0))
-		entries.append(row)
-	return CanonicalBasisMatrix(block, chain, cols, entries)
+	entries = [[ZERO] * len(cols) for _ in chain]
+	labels = {}
+	for s, mu in enumerate(cols):
+		lam = chain[s + 1]
+		entries[s][s], labels[(mu, mu)] = ONE, "unit"
+		if h in lam:
+			entries[s + 1][s], labels[(lam, mu)] = q_power(1), "step-h"
+		else:
+			entries[s + 1][s], labels[(lam, mu)] = q_power(2), "step"
+	return CanonicalBasisMatrix(block, chain, cols, entries), labels
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +148,6 @@ def weight2_profile(lam, block):
 			colour=_colour(lam, block.core, block.h, bars, legs),
 		)
 	return _PROFILES[key]
-
-
-def leg_lengths(lam, block):
-	return weight2_profile(lam, block).legs
-
-
-def ddd(lam, block):
-	return weight2_profile(lam, block).spread
-
-
-def colour(lam, block):
-	return weight2_profile(lam, block).colour
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +220,14 @@ def special_partitions(tau, h):
 # weight 2: the matrix
 # ---------------------------------------------------------------------------
 
-def mu_plus(mu, block):
-	"""The least partition strictly dominating mu with the same leg spread
-	and colour.  The candidates form a chain; both facts are checked."""
+def mu_plus(mu, block, members):
+	"""The least member of the block strictly dominating mu with the same
+	leg spread and colour.  The candidates form a chain; both facts are
+	checked."""
 	mu = tuple(mu)
 	prof = weight2_profile(mu, block)
 	cands = []
-	for lam in pt.enumerate_block(block):
+	for lam in members:
 		if not pt.strictly_dominates(lam, mu):
 			continue
 		p = weight2_profile(lam, block)
@@ -252,87 +247,76 @@ def _between(lam, lo, hi):
 	return pt.strictly_dominates(lam, lo) and pt.strictly_dominates(hi, lam)
 
 
-def _weight2_column(mu, block):
-	"""Column of mu as (value, label) per block member."""
+def _at(x, value):
+	return ("at " + x, (x,), None, L(value))
+
+
+def _chain(lo, hi, spread, value):
+	return ("chain(%s,%s)" % (lo, hi), (lo, hi), spread, L(value))
+
+
+# The three sporadic columns, keyed by the special partition that labels
+# them.  Below the unit, a member takes the value of the first clause that
+# holds for it: _at(x, v) holds at the special partition x, and
+# _chain(lo, hi, s, v) at every member strictly between lo and hi whose
+# leg spread is s.
+_SPORADIC = {
+	"nat": (
+		_chain("nat", "ppi", 1, "q^3 + q"),
+		_at("ppi", "q^2"),
+		_chain("ppi", "yy", 1, "q^2"),
+		_at("yy", "q^4"),
+	),
+	"shp": (
+		_at("nat", "q"),
+		_chain("shp", "flt", 2, "q^2"),
+		_at("flt", "q^4 + q^2"),
+		_chain("flt", "ppi", 1, "q^2"),
+		_at("ppi", "q^3"),
+	),
+	"xx": (
+		_chain("xx", "shp", 2, "q"),
+		_at("shp", "q"),
+		_at("nat", "q^2"),
+		_chain("shp", "flt", 2, "q^3 + q"),
+		_at("flt", "q^5 + q^3"),
+	),
+}
+
+
+def _weight2_column(mu, block, members, named):
+	"""The nonzero entries of mu's column, as {lam: (value, label)};
+	named maps the names of the block's special partitions to them."""
+	out = {mu: (ONE, "unit")}
+	name = next((x for x in _SPORADIC if named.get(x) == mu), None)
+	if name is not None:
+		missing = sorted({x for _, xs, _, _ in _SPORADIC[name] for x in xs} - set(named))
+		pt.require(not missing, "%s column without %s", name, " and ".join(missing))
+		clauses = [(label, [named[x] for x in xs], s, value)
+			for label, xs, s, value in _SPORADIC[name]]
+		for lam in members:
+			if lam == mu:
+				continue
+			spread = weight2_profile(lam, block).spread
+			for label, at, s, value in clauses:
+				if (lam == at[0]) if s is None else (s == spread and _between(lam, *at)):
+					out[lam] = (value, label)
+					break
+		return out
+
 	h = block.h
-	mu = tuple(mu)
-	sp = special_partitions(block.core, h)
-	members = pt.enumerate_block(block)
-	out = {}
-
-	if mu == sp.nat:
-		pt.require(sp.yy is not None and sp.ppi is not None, "natural column without yy and ppi")
-		for lam in members:
-			d = weight2_profile(lam, block).spread
-			if lam == mu:
-				out[lam] = (ONE, "unit")
-			elif _between(lam, sp.nat, sp.ppi) and d == 1:
-				out[lam] = (L("q^3 + q"), "chain(nat,ppi)")
-			elif lam == sp.ppi:
-				out[lam] = (L("q^2"), "at ppi")
-			elif _between(lam, sp.ppi, sp.yy) and d == 1:
-				out[lam] = (L("q^2"), "chain(ppi,yy)")
-			elif lam == sp.yy:
-				out[lam] = (L("q^4"), "at yy")
-			else:
-				out[lam] = (Laurent(0), "")
-		return out
-
-	if mu == sp.shp:
-		pt.require(sp.flt is not None and sp.ppi is not None, "sharp column without flat and ppi")
-		for lam in members:
-			d = weight2_profile(lam, block).spread
-			if lam == mu:
-				out[lam] = (ONE, "unit")
-			elif lam == sp.nat:
-				out[lam] = (L("q"), "at nat")
-			elif _between(lam, sp.shp, sp.flt) and d == 2:
-				out[lam] = (L("q^2"), "chain(shp,flt)")
-			elif lam == sp.flt:
-				out[lam] = (L("q^4 + q^2"), "at flt")
-			elif _between(lam, sp.flt, sp.ppi) and d == 1:
-				out[lam] = (L("q^2"), "chain(flt,ppi)")
-			elif lam == sp.ppi:
-				out[lam] = (L("q^3"), "at ppi")
-			else:
-				out[lam] = (Laurent(0), "")
-		return out
-
-	if mu == sp.xx:
-		pt.require(sp.shp is not None and sp.flt is not None, "xx column without sharp and flat")
-		for lam in members:
-			d = weight2_profile(lam, block).spread
-			if lam == mu:
-				out[lam] = (ONE, "unit")
-			elif _between(lam, sp.xx, sp.shp) and d == 2:
-				out[lam] = (L("q"), "chain(xx,shp)")
-			elif lam == sp.shp:
-				out[lam] = (L("q"), "at shp")
-			elif lam == sp.nat:
-				out[lam] = (L("q^2"), "at nat")
-			elif _between(lam, sp.shp, sp.flt) and d == 2:
-				out[lam] = (L("q^3 + q"), "chain(shp,flt)")
-			elif lam == sp.flt:
-				out[lam] = (L("q^5 + q^3"), "at flt")
-			else:
-				out[lam] = (Laurent(0), "")
-		return out
-
-	# generic column
-	mup = mu_plus(mu, block)
+	mup = mu_plus(mu, block, members)
 	dmu = weight2_profile(mu, block).spread
 	mu_has = bool({h, 2 * h} & set(mu))
 	for lam in members:
-		if lam == mu:
-			val, label = ONE, "unit"
-		elif lam == mup:
+		if lam == mup:
 			val, label = L("q^4"), "partner"
 		elif _between(lam, mu, mup) and \
 				abs(weight2_profile(lam, block).spread - dmu) == 1:
 			val, label = L("q^2"), "between"
 		else:
-			val, label = Laurent(0), ""
-		if val and not mu_has and ({h, 2 * h} & set(lam)):
+			continue
+		if not mu_has and ({h, 2 * h} & set(lam)):
 			val = exact_div(val, L("q"))
 			label += "/q"
 		out[lam] = (val, label)
@@ -343,18 +327,14 @@ def weight2_matrix(block, with_labels=False):
 	pt.require(block.weight == 2, "weight-2 formula on a weight-%d block", block.weight)
 	members = pt.enumerate_block(block)
 	restricted = [p for p in members if pt.is_restricted(p, block.h)]
+	named = special_partitions(block.core, block.h).named()
+	row = {lam: r for r, lam in enumerate(members)}
+	entries = [[ZERO] * len(restricted) for _ in members]
 	labels = {}
-	cols = []
-	for mu in restricted:
-		col = _weight2_column(mu, block)
-		cols.append(col)
-		for lam, (_v, label) in col.items():
-			if label:
-				labels[(lam, mu)] = label
-	entries = [
-		[cols[j][lam][0] for j in range(len(restricted))]
-		for lam in members
-	]
+	for s, mu in enumerate(restricted):
+		for lam, (val, label) in _weight2_column(mu, block, members, named).items():
+			entries[row[lam]][s] = val
+			labels[(lam, mu)] = label
 	mat = CanonicalBasisMatrix(block, members, restricted, entries)
 	return (mat, labels) if with_labels else mat
 
@@ -362,20 +342,11 @@ def weight2_matrix(block, with_labels=False):
 def formula_matrix(block, with_labels=False):
 	"""Dispatch on weight; formulas exist for weights 0, 1, 2 only."""
 	if block.weight == 0:
-		mat = weight0_matrix(block)
-		return (mat, {(block.core, block.core): "unit"}) if with_labels else mat
-	if block.weight == 1:
-		mat = weight1_matrix(block.core, block.h)
-		if not with_labels:
-			return mat
-		labels = {}
-		for r, lam in enumerate(mat.rows):
-			for s, mu in enumerate(mat.cols):
-				if r == s:
-					labels[(lam, mu)] = "unit"
-				elif r == s + 1:
-					labels[(lam, mu)] = "step-h" if block.h in lam else "step"
-		return mat, labels
-	if block.weight == 2:
-		return weight2_matrix(block, with_labels=with_labels)
-	raise ValueError("no closed formula at weight %d" % block.weight)
+		mat, labels = weight0_matrix(block), {(block.core, block.core): "unit"}
+	elif block.weight == 1:
+		mat, labels = _weight1(block)
+	elif block.weight == 2:
+		mat, labels = weight2_matrix(block, with_labels=True)
+	else:
+		raise ValueError("no closed formula at weight %d" % block.weight)
+	return (mat, labels) if with_labels else mat

@@ -12,9 +12,8 @@ q^-2 + 2 + q^2
 import re
 
 __all__ = [
-    "Laurent", "ZERO", "ONE", "Q",
-    "q_power", "parse", "exact_div",
-    "quantum_integer", "quantum_factorial", "symmetric_correction",
+    "Laurent", "ZERO", "ONE",
+    "q_power", "parse", "exact_div", "symmetric_correction",
 ]
 
 
@@ -171,7 +170,6 @@ def _coerce(x):
 
 ZERO = Laurent()
 ONE = Laurent(1)
-Q = Laurent({1: 1})
 
 
 def q_power(m):
@@ -260,19 +258,6 @@ def _q_i_exponent(i, h):
 	if i == n:
 		return 4
 	return 2
-
-
-def quantum_integer(k, i, h):
-	"""[k]_i = (q_i^k - q_i^-k) / (q_i - q_i^-1), with [0]_i = 0."""
-	step = _q_i_exponent(i, h)
-	return Laurent({step * (k - 1 - 2 * j): 1 for j in range(k)})
-
-
-def quantum_factorial(k, i, h):
-	out = ONE
-	for j in range(1, k + 1):
-		out = out * quantum_integer(j, i, h)
-	return out
 
 
 def symmetric_correction(f):

@@ -6,7 +6,9 @@ either every block member is unexceptional and the two decomposition
 matrices agree under the signature involution, or -- at weight 2, for the
 two interesting shapes -- exactly three exceptional partitions appear on
 each side, with completely explicit operator identities and a short list
-of admissible column patterns tying the two matrices together.
+of admissible column patterns tying the two matrices together.  verify_pair
+computes the involution image of each source member once, and every check
+that transports an entry or a partition reads it from there.
 """
 
 from dataclasses import dataclass
@@ -234,10 +236,6 @@ class PairReport:
 	def ok(self):
 		return all(status != "fail" for _, status, _ in self.checks)
 
-	@property
-	def failures(self):
-		return [(n, d) for n, s, d in self.checks if s == "fail"]
-
 	def to_json_obj(self):
 		d = self.descriptor
 		return {
@@ -317,6 +315,42 @@ def _f_identity_checks(report, d, tr, w):
 	report.add("exceptional-e-identities", ok, detail)
 
 
+def _transport_failure(ms, mt, images, rows, mu):
+	"""The first of rows whose entry in column mu of ms differs from the
+	entry of its psi image in column psi(mu) of mt, or None."""
+	pm = images[mu]
+	for lam in rows:
+		if ms.entry(lam, mu) != mt.entry(images[lam], pm):
+			return lam
+	return None
+
+
+def _column_pattern_failure(ms, mt, tr, images, unex, shape, h):
+	"""What breaks the pattern tables first, or '' if every column fits."""
+	table = TABLE_21 if shape == "21" else TABLE_23
+	forbidden = FORBIDDEN_21 if shape == "21" else FORBIDDEN_23
+	for mu in ms.cols:
+		left = tuple(ms.entry(x, mu) for x in tr.source())
+		if left in forbidden:
+			return "forbidden pattern at column %s" % pt.partition_str(mu)
+		rights = [r for l, r in table if l == left]
+		if not rights:
+			return "unlisted pattern at column %s: %s" % (
+				pt.partition_str(mu), [str(v) for v in left])
+		pm = images[mu]
+		if not pt.is_restricted(pm, h):
+			return "involution image of column %s is not restricted" % \
+				pt.partition_str(mu)
+		if tuple(mt.entry(x, pm) for x in tr.target()) != rights[0]:
+			return "partner column %s does not match the pattern table" % \
+				pt.partition_str(pm)
+		lam = _transport_failure(ms, mt, images, unex, mu)
+		if lam is not None:
+			return "unexceptional transport fails at (%s, %s)" % (
+				pt.partition_str(lam), pt.partition_str(mu))
+	return ""
+
+
 def verify_pair(d, w=2, oracle=canonical_basis):
 	"""Check everything the pair is supposed to satisfy at weight w."""
 	report = PairReport(d, w)
@@ -332,8 +366,8 @@ def verify_pair(d, w=2, oracle=canonical_basis):
 	tmembers = pt.enumerate_block(tblock)
 
 	# the involution must carry one block onto the other
-	images = [psi(lam, i, h) for lam in smembers]
-	report.add("block-bijection", sorted(images) == tmembers,
+	images = {lam: psi(lam, i, h) for lam in smembers}
+	report.add("block-bijection", sorted(images.values()) == tmembers,
 		"involution images do not exhaust the partner block")
 
 	# unexceptional members transport by a plain f_i^(k)
@@ -345,7 +379,7 @@ def verify_pair(d, w=2, oracle=canonical_basis):
 			bad = "%s has the wrong number of addable nodes" % pt.partition_str(lam)
 			break
 		got = fock.apply_f(fock.FockVector.basis(h, lam), i, d.k)
-		if got != fock.FockVector.basis(h, psi(lam, i, h)):
+		if got != fock.FockVector.basis(h, images[lam]):
 			bad = "f-image of unexceptional %s is %s" % (pt.partition_str(lam), got)
 			break
 	report.add("unexceptional-f-transport", not bad, bad)
@@ -359,19 +393,14 @@ def verify_pair(d, w=2, oracle=canonical_basis):
 	if not exc_s:
 		report.add("equivalent-no-target-exceptions", not exc_t,
 			"source side clean but target side is not")
-		ok = True
 		detail = ""
 		for mu in ms.cols:
-			pm = psi(mu, i, h)
-			for lam in ms.rows:
-				if ms.entry(lam, mu) != mt.entry(psi(lam, i, h), pm):
-					ok = False
-					detail = "matrices differ at (%s, %s)" % (
-						pt.partition_str(lam), pt.partition_str(mu))
-					break
-			if not ok:
+			lam = _transport_failure(ms, mt, images, ms.rows, mu)
+			if lam is not None:
+				detail = "matrices differ at (%s, %s)" % (
+					pt.partition_str(lam), pt.partition_str(mu))
 				break
-		report.add("matrix-transport", ok, detail)
+		report.add("matrix-transport", not detail, detail)
 		return report
 
 	shape = _pair_shape(d, w)
@@ -399,42 +428,7 @@ def verify_pair(d, w=2, oracle=canonical_basis):
 	report.add("exceptional-column-target", ok,
 		"" if ok else "G at the target triple bottom is %s" % col_ah)
 
-	table = TABLE_21 if shape == "21" else TABLE_23
-	forbidden = FORBIDDEN_21 if shape == "21" else FORBIDDEN_23
 	unex = [lam for lam in smembers if lam not in exc_s]
-	ok = True
-	detail = ""
-	for mu in ms.cols:
-		left = tuple(ms.entry(x, mu) for x in tr.source())
-		if left in forbidden:
-			ok = False
-			detail = "forbidden pattern at column %s" % pt.partition_str(mu)
-			break
-		rights = [r for l, r in table if l == left]
-		if not rights:
-			ok = False
-			detail = "unlisted pattern at column %s: %s" % (
-				pt.partition_str(mu), [str(v) for v in left])
-			break
-		pm = psi(mu, i, h)
-		if not pt.is_restricted(pm, h):
-			ok = False
-			detail = "involution image of column %s is not restricted" % \
-				pt.partition_str(mu)
-			break
-		right = tuple(mt.entry(x, pm) for x in tr.target())
-		if right != rights[0]:
-			ok = False
-			detail = "partner column %s does not match the pattern table" % \
-				pt.partition_str(pm)
-			break
-		for lam in unex:
-			if ms.entry(lam, mu) != mt.entry(psi(lam, i, h), pm):
-				ok = False
-				detail = "unexceptional transport fails at (%s, %s)" % (
-					pt.partition_str(lam), pt.partition_str(mu))
-				break
-		if not ok:
-			break
-	report.add("column-patterns", ok, detail)
+	detail = _column_pattern_failure(ms, mt, tr, images, unex, shape, h)
+	report.add("column-patterns", not detail, detail)
 	return report

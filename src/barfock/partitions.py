@@ -245,28 +245,6 @@ def strictly_dominates(lam, mu):
 	return compare_dominance(lam, mu) == GREATER
 
 
-def compare_lex(lam, mu):
-	lam, mu = tuple(lam), tuple(mu)
-	if lam == mu:
-		return EQUAL
-	return LESS if lam < mu else GREATER
-
-
-def compare_colex(lam, mu):
-	"""lam < mu iff at the last difference (reading parts from the tail,
-	padded with zeros) lam has the *larger* part."""
-	lam, mu = tuple(lam), tuple(mu)
-	if lam == mu:
-		return EQUAL
-	k = max(len(lam), len(mu))
-	a = (0,) * (k - len(lam)) + lam[::-1]
-	b = (0,) * (k - len(mu)) + mu[::-1]
-	for x, y in zip(a, b):
-		if x != y:
-			return LESS if x > y else GREATER
-	raise AssertionError("unreachable")
-
-
 # ---------------------------------------------------------------------------
 # multiset part operations
 # ---------------------------------------------------------------------------

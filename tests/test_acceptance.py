@@ -465,7 +465,7 @@ def _check_cb_axioms():
 def _check_weight2_statistics():
 	for block in _w2_blocks():
 		members = pt.enumerate_block(block)
-		dd = {lam: fm.ddd(lam, block) for lam in members}
+		dd = {lam: fm.weight2_profile(lam, block).spread for lam in members}
 		for lam in members:
 			for mu in members:
 				if pt.compare_dominance(lam, mu) == pt.INCOMPARABLE:
@@ -503,7 +503,7 @@ def _check_pair_tables():
 		n = pt.n_of(d.h)
 		if (d.k == 1 and 1 <= d.i < n) or (d.i == 0 and d.k == 3):
 			rep = pr.verify_pair(d, 2)
-			assert rep.ok, (d, rep.failures)
+			assert rep.ok, (d, rep.to_json_obj())
 			assert any(name == "column-patterns" and status == "pass"
 				for name, status, _ in rep.checks), d
 			count += 1

@@ -13,16 +13,31 @@ import barfock.canonical as cb
 from barfock.laurent import ONE, parse
 
 
+def i_signature(lam, i, h):
+	"""The word of +/- symbols, ascending column order."""
+	return "".join(sym for _, _, sym in cb._signature_nodes(lam, i, h))
+
+
+def reduced_i_signature(lam, i, h):
+	return "".join(sym for _, _, sym in cb._reduce_signature(cb._signature_nodes(lam, i, h)))
+
+
+def conormal_nodes(lam, i, h):
+	"""Surviving addable nodes, as (row, col) ascending by column."""
+	return [(r, c) for c, r, sym in cb._reduce_signature(cb._signature_nodes(lam, i, h))
+		if sym == "+"]
+
+
 class TestSignatures:
 	def test_displayed_example(self):
 		# h=3, (5,4,2,1), residue 0
-		assert cb.i_signature((5, 4, 2, 1), 0, 3) == "-+-++"
-		assert cb.reduced_i_signature((5, 4, 2, 1), 0, 3) == "-++"
+		assert i_signature((5, 4, 2, 1), 0, 3) == "-+-++"
+		assert reduced_i_signature((5, 4, 2, 1), 0, 3) == "-++"
 		assert cb.normal_nodes((5, 4, 2, 1), 0, 3) == [(4, 1)]
-		assert cb.conormal_nodes((5, 4, 2, 1), 0, 3) == [(1, 6), (1, 7)]
+		assert conormal_nodes((5, 4, 2, 1), 0, 3) == [(1, 6), (1, 7)]
 
 	def test_empty_partition(self):
-		assert cb.conormal_nodes((), 0, 5) == [(1, 1)]
+		assert conormal_nodes((), 0, 5) == [(1, 1)]
 		assert cb.normal_nodes((), 0, 5) == []
 
 	def test_core_signatures_are_one_sided(self):
@@ -30,7 +45,7 @@ class TestSignatures:
 		for h in (3, 5, 7):
 			for core in pt.enumerate_cores(h, 10):
 				for i in range(pt.n_of(h) + 1):
-					sig = cb.reduced_i_signature(core, i, h)
+					sig = reduced_i_signature(core, i, h)
 					assert sig in ("", "+" * len(sig), "-" * len(sig))
 
 

@@ -130,6 +130,13 @@ def test_diff_json(capsys):
 	assert obj["agree"] is True and obj["discrepancies"] == []
 
 
+def test_diff_csv_is_usage_error(capsys):
+	code, out, err = run(capsys, "diff", "--h", "3", "--weight", "1",
+		"--max-core-size", "3", "--format", "csv")
+	assert code == 1 and out == ""
+	assert "usage:" in err and "invalid choice" in err and "csv" in err
+
+
 def test_diff_discrepancy_exits_2(capsys, monkeypatch):
 	def fake(job):
 		return (job, ((3,), (3,), "1", "0"))

@@ -4,7 +4,9 @@ import pytest
 
 import barfock.partitions as pt
 import barfock.fock as fock
-from barfock.laurent import ZERO, ONE, parse, quantum_factorial
+from barfock.laurent import ZERO, ONE, parse
+
+from test_laurent import quantum_factorial
 
 
 def vec(h, *terms):

@@ -50,14 +50,15 @@ class TestWeight1:
 class TestWeight2Statistics:
 	def test_displayed_legs(self):
 		b = pt.BlockId(7, pt.bar_core((10, 5, 4), 7), 2)
-		assert fm.leg_lengths((10, 5, 4), b) == (1, 3)
-		assert fm.ddd((10, 5, 4), b) == 2
-		assert fm.colour((10, 5, 4), b) == "grey"
+		prof = fm.weight2_profile((10, 5, 4), b)
+		assert prof.legs == (1, 3)
+		assert prof.spread == 2
+		assert prof.colour == "grey"
 
 	def test_ddd_zero_double_h(self):
 		# (5,5) over the empty core: two h-bars with a common leg
 		b = pt.BlockId(5, (), 2)
-		assert fm.ddd((5, 5), b) == 0
+		assert fm.weight2_profile((5, 5), b).spread == 0
 
 	@pytest.mark.parametrize("h", [3, 5, 7])
 	def test_domlohi(self, h):
@@ -81,7 +82,8 @@ class TestWeight2Statistics:
 			for lam in members:
 				for mu in members:
 					if pt.compare_dominance(lam, mu) == pt.INCOMPARABLE:
-						assert abs(fm.ddd(lam, b) - fm.ddd(mu, b)) >= 2
+						spreads = [fm.weight2_profile(x, b).spread for x in (lam, mu)]
+						assert abs(spreads[0] - spreads[1]) >= 2
 
 	@pytest.mark.parametrize("h", [3, 5, 7])
 	def test_ddd0_bars_sit_high(self, h):
@@ -92,7 +94,7 @@ class TestWeight2Statistics:
 			for lam in pt.enumerate_block(b):
 				lo, hi = ab.bar_positions(lam, b)
 				two_h_bar = (hi == lo + h) or (lo < hi and lo + hi == 2 * h)
-				if fm.ddd(lam, b) == 0 and two_h_bar:
+				if fm.weight2_profile(lam, b).spread == 0 and two_h_bar:
 					assert lo >= h, (lam, lo, hi)
 
 
@@ -151,15 +153,17 @@ class TestSpecials:
 class TestMuPlus:
 	def test_displayed_values(self):
 		b = pt.BlockId(5, (1,), 2)
-		assert fm.mu_plus((6, 3, 2), b) == (7, 3, 1)
-		assert fm.mu_plus((6, 4, 1), b) == (10, 1)
+		members = pt.enumerate_block(b)
+		assert fm.mu_plus((6, 3, 2), b, members) == (7, 3, 1)
+		assert fm.mu_plus((6, 4, 1), b, members) == (10, 1)
 
 	def test_same_statistics(self):
 		b = pt.BlockId(5, (1,), 2)
+		members = pt.enumerate_block(b)
 		for mu in [(6, 3, 2), (6, 4, 1)]:
-			up = fm.mu_plus(mu, b)
-			assert fm.ddd(mu, b) == fm.ddd(up, b)
-			assert fm.colour(mu, b) == fm.colour(up, b)
+			up = fm.mu_plus(mu, b, members)
+			p, q = fm.weight2_profile(mu, b), fm.weight2_profile(up, b)
+			assert (p.spread, p.colour) == (q.spread, q.colour)
 			assert pt.strictly_dominates(up, mu)
 
 

@@ -7,7 +7,13 @@ oracle that the recursive one replaced.  golden_cb_sweep.json holds every
 weight-1 and weight-2 block of the acceptance sweeps, recorded before the
 Fock operator cached its images.
 
-Re-record the sweep hashes (only when the matrices are meant to change):
+golden_consumer.json pins the consumers of those sweeps: one hash per
+weight-1/2 block of the closed-formula matrix with its provenance labels,
+and one per (pair, weight) of the verify_pair report, for every pair
+detected on the weight-2 cores, at weights 1 and 2.
+
+Re-record the sweep and consumer hashes (only when the output is meant to
+change):
     PYTHONPATH=src python tests/test_golden.py
 """
 
@@ -18,6 +24,8 @@ import os
 import pytest
 
 import barfock.canonical as cb
+import barfock.formulas as fm
+import barfock.pairs as pr
 import barfock.partitions as pt
 
 # (h, weight) -> largest core size; every core up to it is covered
@@ -27,6 +35,7 @@ SWEEP = {(3, 1): 15, (5, 1): 15, (7, 1): 15, (3, 2): 10, (5, 2): 10, (7, 2): 8}
 POLICIES = ("smallest", "largest")
 HERE = os.path.dirname(__file__)
 SWEEP_PATH = os.path.join(HERE, "golden_cb_sweep.json")
+CONSUMER_PATH = os.path.join(HERE, "golden_consumer.json")
 
 GOLDEN = {}
 for _name in ("golden_cb.json", "golden_cb_sweep.json"):
@@ -44,10 +53,33 @@ def corpus(h, weight):
 			yield key, block, policy
 
 
-def digest(block, policy):
-	obj = cb.canonical_basis(block, policy).to_json_obj()
+def _sha(obj):
 	text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
 	return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest(block, policy):
+	return _sha(cb.canonical_basis(block, policy).to_json_obj())
+
+
+def consumer_digests(h, weight):
+	"""key -> hash for the formula blocks of one SWEEP entry and, at weight
+	2, for the pairs detected on its cores at weights 1 and 2."""
+	out = {}
+	for core in pt.enumerate_cores(h, SWEEP[(h, weight)]):
+		mat, labels = fm.formula_matrix(pt.BlockId(h, core, weight), with_labels=True)
+		out["formula %d %s %d" % (h, pt.partition_str(core), weight)] = _sha({
+			"matrix": mat.to_json_obj(),
+			"labels": [[pt.partition_str(lam), pt.partition_str(mu), lab]
+				for (lam, mu), lab in sorted(labels.items())],
+		})
+		if weight != 2:
+			continue
+		for d in pr.detect_pairs(core, h):
+			for w in (1, 2):
+				key = "pair %d %s %d %d" % (h, pt.partition_str(core), d.i, w)
+				out[key] = _sha(pr.verify_pair(d, w).to_json_obj())
+	return out
 
 
 def test_corpus_is_complete():
@@ -61,8 +93,31 @@ def test_golden_digests(h, weight):
 		assert digest(block, policy) == GOLDEN[key], key
 
 
-if __name__ == "__main__":
-	with open(SWEEP_PATH, "w") as f:
-		json.dump({key: digest(block, policy) for hw in sorted(SWEEP)
-			for key, block, policy in corpus(*hw)}, f, indent=1, sort_keys=True)
+def _sweep_entry(key):
+	"""The SWEEP (h, weight) a consumer key belongs to."""
+	kind, h, _core, *rest = key.split(" ")
+	return int(h), int(rest[-1]) if kind == "formula" else 2
+
+
+@pytest.mark.parametrize("h,weight", sorted(SWEEP))
+def test_consumer_digests(h, weight):
+	with open(CONSUMER_PATH) as f:
+		want = {k: v for k, v in json.load(f).items()
+			if _sweep_entry(k) == (h, weight)}
+	got = consumer_digests(h, weight)
+	assert sorted(got) == sorted(want)
+	for key in sorted(got):
+		assert got[key] == want[key], key
+
+
+def _record(path, table):
+	with open(path, "w") as f:
+		json.dump(table, f, indent=1, sort_keys=True)
 		f.write("\n")
+
+
+if __name__ == "__main__":
+	_record(SWEEP_PATH, {key: digest(block, policy) for hw in sorted(SWEEP)
+		for key, block, policy in corpus(*hw)})
+	_record(CONSUMER_PATH, {key: val for hw in sorted(SWEEP)
+		for key, val in consumer_digests(*hw).items()})

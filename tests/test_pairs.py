@@ -12,6 +12,8 @@ import barfock.canonical as cb
 import barfock.formulas as fm
 import barfock.pairs as pr
 
+from test_partitions import compare_colex
+
 
 def pairs_at_scale(hs=(3, 5, 7), max_core=6, skip_zero_k1=True):
 	"""Every pair whose source core fits the size bound."""
@@ -140,15 +142,14 @@ class TestExceptionalTriples:
 			t = pr.exceptional_triples(d)
 			b2 = pt.BlockId(d.h, d.source, 2)
 			t2 = pt.BlockId(d.h, d.target, 2)
-			dd = fm.ddd(t.alpha, b2)
+			a, b, g = (fm.weight2_profile(x, b2) for x in t.source())
+			ah, bh, gh = (fm.weight2_profile(x, t2) for x in t.target())
+			dd = a.spread
 			assert dd >= 1
-			assert fm.ddd(t.gamma, b2) == fm.ddd(t.beta_hat, t2) == dd
-			assert fm.ddd(t.alpha_hat, t2) == fm.ddd(t.beta, b2) == \
-				fm.ddd(t.gamma_hat, t2) == dd - 1
-			assert fm.colour(t.alpha, b2) == fm.colour(t.gamma, b2) == \
-				fm.colour(t.beta_hat, t2)
-			assert fm.colour(t.alpha_hat, t2) == fm.colour(t.beta, b2) == \
-				fm.colour(t.gamma_hat, t2)
+			assert g.spread == bh.spread == dd
+			assert ah.spread == b.spread == gh.spread == dd - 1
+			assert a.colour == g.colour == bh.colour
+			assert ah.colour == b.colour == gh.colour
 
 	def test_unexceptional_dominance_separation(self):
 		# unexceptional members with nearby ddd sit entirely above gamma
@@ -156,11 +157,11 @@ class TestExceptionalTriples:
 		for d in self.supported(max_core=5):
 			t = pr.exceptional_triples(d)
 			b2 = pt.BlockId(d.h, d.source, 2)
-			dd = fm.ddd(t.alpha, b2)
+			dd = fm.weight2_profile(t.alpha, b2).spread
 			for lam in pt.enumerate_block(b2):
 				if not pr.is_unexceptional(lam, d, "source"):
 					continue
-				if abs(fm.ddd(lam, b2) - dd) > 1:
+				if abs(fm.weight2_profile(lam, b2).spread - dd) > 1:
 					continue
 				img = cb.psi(lam, d.i, d.h)
 				if pt.strictly_dominates(lam, t.gamma):
@@ -194,8 +195,8 @@ class TestUnexceptionalTransport:
 				if not pr.is_unexceptional(lam, d, "source"):
 					continue
 				img = cb.psi(lam, d.i, h)
-				assert fm.ddd(img, t2) == fm.ddd(lam, b2)
-				assert fm.colour(img, t2) == fm.colour(lam, b2)
+				p, q = fm.weight2_profile(img, t2), fm.weight2_profile(lam, b2)
+				assert (p.spread, p.colour) == (q.spread, q.colour)
 				assert (h in lam or 2 * h in lam) == (h in img or 2 * h in img)
 
 	def test_dominance_transport(self):
@@ -204,7 +205,7 @@ class TestUnexceptionalTransport:
 			members = pt.enumerate_block(b2)
 			unex = [lam for lam in members
 				if pr.is_unexceptional(lam, d, "source")]
-			dds = {lam: fm.ddd(lam, b2) for lam in unex}
+			dds = {lam: fm.weight2_profile(lam, b2).spread for lam in unex}
 			for lam in unex:
 				for mu in unex:
 					if abs(dds[lam] - dds[mu]) > 1:
@@ -228,10 +229,10 @@ class TestUnexceptionalTransport:
 					for muhat in targets:
 						if not linked(mu, muhat, d.i, d.h):
 							continue
-						if pt.compare_lex(lam, mu) == pt.GREATER:
-							assert pt.compare_lex(lhat, muhat) == pt.GREATER
-						if pt.compare_colex(lam, mu) == pt.LESS:
-							assert pt.compare_colex(lhat, muhat) == pt.LESS
+						if lam > mu:
+							assert lhat > muhat
+						if compare_colex(lam, mu) == pt.LESS:
+							assert compare_colex(lhat, muhat) == pt.LESS
 
 	def test_special_partition_transport(self):
 		for d in pairs_at_scale(max_core=6):
@@ -313,8 +314,10 @@ class TestTables:
 def test_pair_and_formula_checks_survive_optimised_mode():
 	# python -O strips asserts, but not these checks: a psi that fixes
 	# everything breaks the triples' permutation, a reversed weight-1 chain
-	# breaks the formula's lex order
+	# breaks the formula's lex order, and a block without ppi leaves the
+	# natural column's clauses without a partition to point at
 	script = textwrap.dedent("""
+		import dataclasses
 		import barfock.formulas as fm
 		import barfock.pairs as pr
 		import barfock.partitions as pt
@@ -331,6 +334,13 @@ def test_pair_and_formula_checks_survive_optimised_mode():
 			fm.weight1_matrix((4, 2), 7)
 		except pt.InvariantError as e:
 			print(e)
+		specials = fm.special_partitions
+		fm.special_partitions = lambda tau, h: \
+			dataclasses.replace(specials(tau, h), ppi=None)
+		try:
+			fm.formula_matrix(pt.BlockId(3, (1,), 2))
+		except pt.InvariantError as e:
+			print(e)
 	""")
 	src = os.path.dirname(os.path.dirname(os.path.abspath(pr.__file__)))
 	proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -340,4 +350,5 @@ def test_pair_and_formula_checks_survive_optimised_mode():
 	assert proc.stdout.splitlines() == [
 		"signature involution does not permute the triples as expected",
 		"weight-1 chain should already be lex-sorted",
+		"nat column without ppi",
 	]
