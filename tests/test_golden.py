@@ -12,7 +12,12 @@ weight-1/2 block of the closed-formula matrix with its provenance labels,
 and one per (pair, weight) of the verify_pair report, for every pair
 detected on the weight-2 cores, at weights 1 and 2.
 
-Re-record the sweep and consumer hashes (only when the output is meant to
+golden_signature.json pins the signature layer: one hash per h over every
+h-strict partition up to SIGNATURE_BOUNDS[h] nodes, of its bar-core and,
+for every residue i, its addable, removable and normal i-nodes and its
+psi_i image.
+
+Re-record the sweep, consumer and signature hashes (only when the output is meant to
 change):
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -33,9 +38,12 @@ CORPUS = {(3, 3): 6, (5, 3): 6, (7, 3): 6, (3, 4): 6, (5, 4): 6}
 # the acceptance sweeps' bounds (tests/test_acceptance.py W1_CORES, W2_CORES)
 SWEEP = {(3, 1): 15, (5, 1): 15, (7, 1): 15, (3, 2): 10, (5, 2): 10, (7, 2): 8}
 POLICIES = ("smallest", "largest")
+# h -> largest partition size: the gate's MEMBER_BOUNDS, and h=9 up to 30
+SIGNATURE_BOUNDS = {3: 22, 5: 30, 7: 36, 9: 30}
 HERE = os.path.dirname(__file__)
 SWEEP_PATH = os.path.join(HERE, "golden_cb_sweep.json")
 CONSUMER_PATH = os.path.join(HERE, "golden_consumer.json")
+SIGNATURE_PATH = os.path.join(HERE, "golden_signature.json")
 
 GOLDEN = {}
 for _name in ("golden_cb.json", "golden_cb_sweep.json"):
@@ -82,6 +90,21 @@ def consumer_digests(h, weight):
 	return out
 
 
+def signature_text(h):
+	"""One line per h-strict partition with its bar-core, and one per
+	(partition, residue) with the node sets and the psi image."""
+	lines = []
+	for m in range(SIGNATURE_BOUNDS[h] + 1):
+		for lam in pt.enumerate_h_strict(m, h):
+			text = pt.partition_str(lam)
+			lines.append("%s core %s" % (text, pt.partition_str(pt.bar_core(lam, h))))
+			for i in range(pt.n_of(h) + 1):
+				lines.append("%s %d: %r %r %r %s" % (text, i,
+					pt.addable_i_nodes(lam, i, h), pt.removable_i_nodes(lam, i, h),
+					cb.normal_nodes(lam, i, h), pt.partition_str(cb.psi(lam, i, h))))
+	return "\n".join(lines)
+
+
 def test_corpus_is_complete():
 	keys = [key for hw in {**CORPUS, **SWEEP} for key, _, _ in corpus(*hw)]
 	assert sorted(keys) == sorted(GOLDEN)
@@ -110,6 +133,13 @@ def test_consumer_digests(h, weight):
 		assert got[key] == want[key], key
 
 
+@pytest.mark.parametrize("h", sorted(SIGNATURE_BOUNDS))
+def test_signature_digests(h):
+	with open(SIGNATURE_PATH) as f:
+		want = json.load(f)[str(h)]
+	assert _sha(signature_text(h)) == want, h
+
+
 def _record(path, table):
 	with open(path, "w") as f:
 		json.dump(table, f, indent=1, sort_keys=True)
@@ -121,3 +151,5 @@ if __name__ == "__main__":
 		for key, block, policy in corpus(*hw)})
 	_record(CONSUMER_PATH, {key: val for hw in sorted(SWEEP)
 		for key, val in consumer_digests(*hw).items()})
+	_record(SIGNATURE_PATH, {str(h): _sha(signature_text(h))
+		for h in sorted(SIGNATURE_BOUNDS)})
