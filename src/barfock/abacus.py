@@ -9,7 +9,9 @@ vacuum (all negatives singly occupied): delta(p) = -delta(-p) everywhere.
 
 Removing an h-bar only ever moves beads up their runners, so the core's
 display is the fully flushed one; per-runner bead surpluses are invariant
-and determine the core outright.
+and determine the core outright.  The flush rule is stated once, in
+partitions.flush_surplus: core_via_abacus applies it to a display, and
+partitions.bar_core to surpluses counted straight from the parts.
 """
 
 from . import partitions as pt
@@ -44,11 +46,11 @@ class AbacusDisplay:
 			(self.h, self.delta) == (other.h, other.delta)
 
 	def runner_surplus(self):
-		"""Net bead count per runner, relative to the vacuum."""
-		n = pt.n_of(self.h)
-		d = {j: 0 for j in range(-n, n + 1)}
+		"""Net bead count per runner relative to the vacuum, as a list
+		whose entry j % h belongs to runner j."""
+		d = [0] * self.h
 		for p, v in self.delta.items():
-			d[runner(p, self.h)] += v
+			d[p % self.h] += v
 		return d
 
 	def grid(self):
@@ -94,23 +96,15 @@ def from_partition(lam, h):
 def core_via_abacus(a):
 	"""Flush every runner and read off the resulting partition.
 
-	Bar removals preserve each runner's surplus, so the flushed display --
-	the one where every bead sits as high as possible -- depends only on
-	those surpluses.  A runner with surplus d > 0 contributes the d lowest
-	positive positions on that runner.
+	The flush rule itself is partitions.flush_surplus, shared with
+	bar_core; this side checks that the display's surpluses balance.
 	"""
-	h = a.h
 	d = a.runner_surplus()
 	if d[0] != 0:
 		raise ValueError("runner 0 out of balance; not a partition display")
-	parts = []
-	for j, dj in d.items():
-		if dj != -d[-j]:
-			raise ValueError("asymmetric surplus; not a partition display")
-		base = j if j > 0 else h + j  # smallest positive position on runner j
-		for m in range(max(dj, 0)):
-			parts.append(base + m * h)
-	return tuple(sorted(parts, reverse=True))
+	if any(d[k] != -d[-k] for k in range(1, a.h)):
+		raise ValueError("asymmetric surplus; not a partition display")
+	return pt.flush_surplus(d, a.h)
 
 
 def bar_positions(lam, block):

@@ -23,70 +23,69 @@ from .laurent import ONE, ZERO, symmetric_correction
 # i-signatures
 # ---------------------------------------------------------------------------
 
-def _signature_nodes(lam, i, h):
-	"""Addable/removable i-nodes merged in ascending column order.
+def _signature(lam, i, h):
+	"""Normal and conormal i-nodes of lam, as two lists of (row, col)
+	ascending by column.
 
-	Entries are (column, row, symbol) with symbol '+' for addable and '-'
-	for removable.  The two kinds never share a column; that is load-bearing
-	for the reduction and therefore checked.
+	The i-signature lists the addable (+) and removable (-) i-nodes in
+	ascending column order; cancelling adjacent +- pairs, stack style,
+	leaves some -'s followed by some +'s, the normal and conormal nodes.
+	Both are read off in one walk over the merged nodes.  The two kinds
+	never share a column; that is load-bearing for the reduction and
+	therefore checked.
 	"""
-	lam = tuple(lam)
-	merged = [(c, r, "+") for r, c in pt.addable_i_nodes(lam, i, h)]
-	merged += [(c, r, "-") for r, c in pt.removable_i_nodes(lam, i, h)]
+	merged = [(c, r, 1) for r, c in pt.addable_i_nodes(lam, i, h)]
+	merged += [(c, r, -1) for r, c in pt.removable_i_nodes(lam, i, h)]
 	merged.sort()
-	cols = [c for c, _, _ in merged]
-	pt.require(len(set(cols)) == len(cols),
-		"addable and removable %d-nodes share a column on %r", i, lam)
-	return merged
-
-
-def _reduce_signature(nodes):
-	"""Cancel adjacent +- pairs (stack style); survivors keep their order."""
-	stack = []
-	for node in nodes:
-		if node[2] == "-" and stack and stack[-1][2] == "+":
-			stack.pop()
+	normal, conormal = [], []  # conormal: the +'s nothing has cancelled yet
+	last = 0  # columns start at 1
+	for c, r, sym in merged:
+		pt.require(c != last,
+			"addable and removable %d-nodes share a column on %r", i, lam)
+		last = c
+		if sym > 0:
+			conormal.append((r, c))
+		elif conormal:
+			conormal.pop()
 		else:
-			stack.append(node)
-	return stack
+			normal.append((r, c))
+	return normal, conormal
 
 
 def normal_nodes(lam, i, h):
 	"""Surviving removable nodes, as (row, col) ascending by column."""
-	return [(r, c) for c, r, sym in _reduce_signature(_signature_nodes(lam, i, h))
-		if sym == "-"]
+	return _signature(lam, i, h)[0]
 
 
 def _move_nodes(lam, nodes, h, sign):
-	"""lam with the given (row, col) nodes added (sign 1) or removed (sign -1).
+	"""lam with the given (row, col) nodes, ascending by column, added
+	(sign 1) or removed (sign -1).
 
 	Each row's nodes must extend (truncate) it contiguously at its right
-	edge, and the result must be h-strict.
+	edge, and the result must be h-strict.  Nodes are added in ascending
+	and removed in descending column order, so each must sit just past
+	(on) its row's current edge.
 	"""
 	verb = "added" if sign > 0 else "removed"
 	lengths = list(lam)
-	by_row = {}
-	for r, c in nodes:
-		by_row.setdefault(r, []).append(c)
-	for r, cols in sorted(by_row.items()):
+	for r, c in nodes if sign > 0 else reversed(nodes):
 		if sign > 0 and r == len(lengths) + 1:
 			lengths.append(0)
 		pt.require(1 <= r <= len(lengths), "%s node outside the rows of %r", verb, lam)
-		old = lengths[r - 1]
-		new = old + sign * len(cols)
-		pt.require(sorted(cols) == list(range(min(old, new) + 1, max(old, new) + 1)),
+		pt.require(c == lengths[r - 1] + (sign > 0),
 			"%s nodes do not move row %d of %r contiguously", verb, r, lam)
-		lengths[r - 1] = new
-	mu = pt.check_partition(v for v in lengths if v)
-	pt.require(pt.is_h_strict(mu, h), "%s nodes left the h-strict world: %r", verb, mu)
+		lengths[r - 1] += sign
+	mu = tuple(v for v in lengths if v)
+	# one pass over adjacent parts; the validators run only to raise
+	if any(a <= b and (a < b or a % h) for a, b in zip(mu, mu[1:])):
+		mu = pt.check_partition(mu)
+		pt.require(pt.is_h_strict(mu, h), "%s nodes left the h-strict world: %r", verb, mu)
 	return mu
 
 
 def psi(lam, i, h):
 	"""The signature involution: flip the surviving +/- imbalance."""
-	survivors = _reduce_signature(_signature_nodes(lam, i, h))
-	norm = [(r, c) for c, r, sym in survivors if sym == "-"]
-	conorm = [(r, c) for c, r, sym in survivors if sym == "+"]
+	norm, conorm = _signature(lam, i, h)
 	r, s = len(norm), len(conorm)
 	if s >= r:
 		return _move_nodes(lam, conorm[: s - r], h, 1)

@@ -8,7 +8,9 @@ two interesting shapes -- exactly three exceptional partitions appear on
 each side, with completely explicit operator identities and a short list
 of admissible column patterns tying the two matrices together.  verify_pair
 computes the involution image of each source member once, and every check
-that transports an entry or a partition reads it from there.
+that transports an entry or a partition reads it from there; it also sorts
+each block's members into exceptional and unexceptional once, and the
+exceptional triples are built from that split.
 """
 
 from dataclasses import dataclass
@@ -138,13 +140,18 @@ def exceptional_triples(d, w=2):
 	if shape is None:
 		raise ValueError("exceptional triples exist only for weight-2 pairs "
 			"with k=1 and 0<i<n, or k=3 and i=0")
-	h = d.h
-	sblock = pt.BlockId(h, d.source, w)
-	tblock = pt.BlockId(h, d.target, w)
+	sblock = pt.BlockId(d.h, d.source, w)
+	tblock = pt.BlockId(d.h, d.target, w)
 	exc_s = [lam for lam in pt.enumerate_block(sblock)
 		if not is_unexceptional(lam, d, "source")]
 	exc_t = [lam for lam in pt.enumerate_block(tblock)
 		if not is_unexceptional(lam, d, "target")]
+	return _exceptional_triples(d, shape, sblock, tblock, exc_s, exc_t)
+
+
+def _exceptional_triples(d, shape, sblock, tblock, exc_s, exc_t):
+	"""The triples, from the exceptional members of both blocks."""
+	h = d.h
 	pt.require(len(exc_s) == 3 and len(exc_t) == 3,
 		"expected three exceptional partitions on each side, got %d/%d",
 		len(exc_s), len(exc_t))
@@ -370,11 +377,13 @@ def verify_pair(d, w=2, oracle=canonical_basis):
 	report.add("block-bijection", sorted(images.values()) == tmembers,
 		"involution images do not exhaust the partner block")
 
+	exc_s = [lam for lam in smembers if not is_unexceptional(lam, d, "source")]
+	unex = [lam for lam in smembers if lam not in exc_s]
+	exc_t = [lam for lam in tmembers if not is_unexceptional(lam, d, "target")]
+
 	# unexceptional members transport by a plain f_i^(k)
 	bad = ""
-	for lam in smembers:
-		if not is_unexceptional(lam, d, "source"):
-			continue
+	for lam in unex:
 		if len(pt.addable_i_nodes(lam, i, h)) != d.k:
 			bad = "%s has the wrong number of addable nodes" % pt.partition_str(lam)
 			break
@@ -383,9 +392,6 @@ def verify_pair(d, w=2, oracle=canonical_basis):
 			bad = "f-image of unexceptional %s is %s" % (pt.partition_str(lam), got)
 			break
 	report.add("unexceptional-f-transport", not bad, bad)
-
-	exc_s = [lam for lam in smembers if not is_unexceptional(lam, d, "source")]
-	exc_t = [lam for lam in tmembers if not is_unexceptional(lam, d, "target")]
 
 	ms = oracle(sblock)
 	mt = oracle(tblock)
@@ -410,7 +416,7 @@ def verify_pair(d, w=2, oracle=canonical_basis):
 			"at weight %d, residue %d, k=%d" % (len(exc_s), w, i, d.k))
 		return report
 
-	tr = exceptional_triples(d, w)
+	tr = _exceptional_triples(d, shape, sblock, tblock, exc_s, exc_t)
 	report.add("exceptional-triples", True, "")
 
 	_f_identity_checks(report, d, tr, w)
@@ -428,7 +434,6 @@ def verify_pair(d, w=2, oracle=canonical_basis):
 	report.add("exceptional-column-target", ok,
 		"" if ok else "G at the target triple bottom is %s" % col_ah)
 
-	unex = [lam for lam in smembers if lam not in exc_s]
 	detail = _column_pattern_failure(ms, mt, tr, images, unex, shape, h)
 	report.add("column-patterns", not detail, detail)
 	return report

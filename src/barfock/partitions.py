@@ -10,6 +10,7 @@ Only multiples of h may repeat in an "h-strict" partition, and the
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 LESS, EQUAL, GREATER, INCOMPARABLE = -1, 0, 1, 2
 
@@ -94,16 +95,34 @@ def residue(c, h):
 # rule.  A smaller value in one row only widens the choices of the row above
 # (a larger one, of the row below), so this pointwise optimum is admissible
 # and is the unique optimum of the total.
+#
+# A column's residue depends only on c % h, so both walks read it from one
+# table per h.  They test a row's options inline, in the order that
+# _row_options lists them backwards, and pass over a row whose edge column
+# has another residue: it keeps its length.
 # ---------------------------------------------------------------------------
+
+_RESIDUE_TABLES = {}
+_BY_COLUMN = itemgetter(1, 0)
+
+
+def _residue_table(h):
+	"""The residue of column c, at index c % h."""
+	table = _RESIDUE_TABLES.get(h)
+	if table is None:
+		table = _RESIDUE_TABLES[h] = tuple(residue(c, h) for c in range(h))
+	return table
+
 
 def _row_options(length, i, h, sign):
 	"""New lengths a row may reach by adding (sign 1) or removing (sign -1)
 	i-nodes at its right edge, the unchanged length first."""
+	res = _residue_table(h)
 	edge = length + (sign > 0)  # the first column to move
 	opts = [length]
-	if edge >= 1 and residue(edge, h) == i:
+	if edge >= 1 and res[edge % h] == i:
 		opts.append(length + sign)
-		if edge + sign >= 1 and residue(edge + sign, h) == i:
+		if edge + sign >= 1 and res[(edge + sign) % h] == i:
 			opts.append(length + 2 * sign)
 	return opts
 
@@ -111,34 +130,42 @@ def _row_options(length, i, h, sign):
 def removable_i_nodes(lam, i, h):
 	"""Nodes removed in passing to the smallest h-strict subpartition whose
 	complement consists of i-nodes; increasing column order, ties by row."""
+	res = _residue_table(h)
 	nodes = []
 	below = 0
 	for r in range(len(lam) - 1, -1, -1):
-		# the unchanged length comes first and always fits
-		for v in reversed(_row_options(lam[r], i, h, -1)):
-			if v > below or (v == below and v % h == 0):
-				break
-		nodes.extend((r + 1, c) for c in range(v + 1, lam[r] + 1))
+		old = v = lam[r]  # the unchanged length always fits
+		if res[old % h] == i:
+			low = old - 2 if old >= 2 and res[(old - 1) % h] == i else old - 1
+			for w in range(low, old):
+				if w > below or (w == below and w % h == 0):
+					nodes.extend((r + 1, c) for c in range(w + 1, old + 1))
+					v = w
+					break
 		below = v
-	return sorted(nodes, key=lambda rc: (rc[1], rc[0]))
+	nodes.sort(key=_BY_COLUMN)
+	return nodes
 
 
 def addable_i_nodes(lam, i, h):
 	"""Dual of removable_i_nodes: the difference against the largest h-strict
 	superpartition reachable by adding i-nodes."""
-	lengths = list(lam)
-	if i == 0:
-		lengths.append(0)  # at most one new row, necessarily a single node
+	res = _residue_table(h)
 	nodes = []
 	above = float("inf")
-	for r, old in enumerate(lengths):
-		# the unchanged length comes first and always fits
-		for v in reversed(_row_options(old, i, h, 1)):
-			if v < above or (v == above and v % h == 0):
-				break
-		nodes.extend((r + 1, c) for c in range(old + 1, v + 1))
+	# at most one new row, necessarily a single node, and only for i = 0
+	for r, old in enumerate((*lam, 0) if i == 0 else lam):
+		v = old  # the unchanged length always fits
+		if res[(old + 1) % h] == i:
+			high = old + 2 if res[(old + 2) % h] == i else old + 1
+			for w in range(high, old, -1):
+				if w < above or (w == above and w % h == 0):
+					nodes.extend((r + 1, c) for c in range(old + 1, w + 1))
+					v = w
+					break
 		above = v
-	return sorted(nodes, key=lambda rc: (rc[1], rc[0]))
+	nodes.sort(key=_BY_COLUMN)
+	return nodes
 
 
 def h_content(lam, h):
@@ -192,9 +219,38 @@ def remove_h_bar_all(lam, h):
 	return sorted(out)
 
 
+def flush_surplus(surplus, h):
+	"""The partition of the fully flushed abacus display whose runner j
+	holds surplus[j % h] beads beyond the vacuum.
+
+	This is the one statement of the flush rule; bar_core and
+	abacus.core_via_abacus both read the bar-core off it.  Bar removals
+	preserve each runner's surplus, and flushing moves every bead as high
+	as it goes, so a runner with surplus d > 0 contributes the d lowest
+	positive positions on it, and one with d <= 0 contributes none.
+	"""
+	parts = []
+	for k in range(1, h):
+		if surplus[k] > 0:
+			parts.extend(range(k, k + surplus[k] * h, h))
+	parts.sort(reverse=True)
+	return tuple(parts)
+
+
 def bar_core(lam, h):
-	from . import abacus
-	return abacus.core_via_abacus(abacus.from_partition(lam, h))
+	"""The bar-core: lam's runner surpluses, counted from its parts, flushed
+	by flush_surplus.  A part a puts a bead on runner a and takes one off
+	runner -a (see the abacus module)."""
+	check_h(h)
+	lam = check_partition(lam)
+	if not is_h_strict(lam, h):
+		raise ValueError("%r is not %d-strict" % (lam, h))
+	surplus = [0] * h
+	for a in lam:
+		surplus[a % h] += 1
+		surplus[-a % h] -= 1
+	require(surplus[0] == 0, "runner 0 out of balance on %r", lam)
+	return flush_surplus(surplus, h)
 
 
 def bar_weight(lam, h):

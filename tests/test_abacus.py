@@ -78,11 +78,25 @@ class TestDisplay:
 
 @pytest.mark.parametrize("h", [3, 5, 7, 9])
 def test_core_flush(h):
-	# the abacus core agrees with bar_core (itself chain-checked elsewhere)
-	for m in range(0, 12):
+	# the abacus core agrees with bar_core.  Both apply the one flush rule,
+	# partitions.flush_surplus, so this pins what each side still does on
+	# its own: bar_core counts the runner surpluses straight from the parts,
+	# core_via_abacus builds and validates the display and sums its delta
+	# per runner.  The flush rule itself is checked against every chain of
+	# bar removals in test_partitions.
+	for m in range(0, 17):
 		for lam in pt.enumerate_h_strict(m, h):
 			assert ab.core_via_abacus(ab.from_partition(lam, h)) == \
 				pt.bar_core(lam, h)
+
+
+def test_bar_core_rejects_bad_input():
+	with pytest.raises(ValueError, match="not 5-strict"):
+		pt.bar_core((4, 4, 1), 5)
+	with pytest.raises(ValueError, match="weakly decrease"):
+		pt.bar_core((1, 4), 5)
+	with pytest.raises(ValueError, match="positive integers"):
+		pt.bar_core((4, 0), 5)
 
 
 def test_core_of_9631():

@@ -13,19 +13,37 @@ import barfock.canonical as cb
 from barfock.laurent import ONE, parse
 
 
+def signature_nodes(lam, i, h):
+	"""The i-signature written out: (column, row, symbol) for every addable
+	(+) and removable (-) i-node, ascending by column."""
+	merged = [(c, r, "+") for r, c in pt.addable_i_nodes(lam, i, h)]
+	merged += [(c, r, "-") for r, c in pt.removable_i_nodes(lam, i, h)]
+	return sorted(merged)
+
+
+def reduce_signature(nodes):
+	"""Cancel adjacent +- pairs (stack style); survivors keep their order."""
+	stack = []
+	for node in nodes:
+		if node[2] == "-" and stack and stack[-1][2] == "+":
+			stack.pop()
+		else:
+			stack.append(node)
+	return stack
+
+
 def i_signature(lam, i, h):
 	"""The word of +/- symbols, ascending column order."""
-	return "".join(sym for _, _, sym in cb._signature_nodes(lam, i, h))
+	return "".join(sym for _, _, sym in signature_nodes(lam, i, h))
 
 
 def reduced_i_signature(lam, i, h):
-	return "".join(sym for _, _, sym in cb._reduce_signature(cb._signature_nodes(lam, i, h)))
+	return "".join(sym for _, _, sym in reduce_signature(signature_nodes(lam, i, h)))
 
 
 def conormal_nodes(lam, i, h):
 	"""Surviving addable nodes, as (row, col) ascending by column."""
-	return [(r, c) for c, r, sym in cb._reduce_signature(cb._signature_nodes(lam, i, h))
-		if sym == "+"]
+	return cb._signature(lam, i, h)[1]
 
 
 class TestSignatures:
@@ -47,6 +65,19 @@ class TestSignatures:
 				for i in range(pt.n_of(h) + 1):
 					sig = reduced_i_signature(core, i, h)
 					assert sig in ("", "+" * len(sig), "-" * len(sig))
+
+
+@pytest.mark.parametrize("h", [3, 5, 7])
+def test_one_walk_matches_stack_reduction(h):
+	# normal and conormal nodes from the one merged walk, against the
+	# written-out signature reduced stack style
+	for m in range(0, 13):
+		for lam in pt.enumerate_h_strict(m, h):
+			for i in range(pt.n_of(h) + 1):
+				stack = reduce_signature(signature_nodes(lam, i, h))
+				want = tuple([(r, c) for c, r, sym in stack if sym == s]
+					for s in "-+")
+				assert cb._signature(lam, i, h) == want, (lam, i)
 
 
 class TestPsi:
@@ -190,6 +221,36 @@ def test_invariants_survive_optimised_mode():
 	assert proc.returncode == 0, proc.stderr
 	assert proc.stdout.startswith("h=5 core=() w=2, column (1): ")
 	assert "not unitriangular" in proc.stdout
+
+
+def test_psi_checks_survive_optimised_mode():
+	# patched node sets: an addable node in the column of the removable
+	# (4, 1), then a lone addable node (1, 7) that leaves column 6 of row 1
+	# empty; psi must refuse both under python -O
+	script = textwrap.dedent("""
+		import barfock.canonical as cb
+		import barfock.partitions as pt
+		assert False, "reached only without -O"
+		lam = (5, 4, 2, 1)
+		real = pt.addable_i_nodes
+		for add, remove in (
+				(lambda lam, i, h: real(lam, i, h) + [(5, 1)], pt.removable_i_nodes),
+				(lambda lam, i, h: [(1, 7)], lambda lam, i, h: [])):
+			pt.addable_i_nodes, pt.removable_i_nodes = add, remove
+			try:
+				cb.psi(lam, 0, 3)
+			except pt.InvariantError as e:
+				print(e)
+	""")
+	src = os.path.dirname(os.path.dirname(os.path.abspath(cb.__file__)))
+	proc = subprocess.run([sys.executable, "-O", "-c", script],
+		capture_output=True, text=True, timeout=120,
+		env=dict(os.environ, PYTHONPATH=src))
+	assert proc.returncode == 0, proc.stderr
+	assert proc.stdout.splitlines() == [
+		"addable and removable 0-nodes share a column on (5, 4, 2, 1)",
+		"added nodes do not move row 1 of (5, 4, 2, 1) contiguously",
+	]
 
 
 class TestRenderings:
