@@ -264,12 +264,18 @@ def _diff_one(job):
 		raise kind(text) from e
 	if oracle == formula:
 		return (job, None)
-	for lam in oracle.rows:
-		for mu in oracle.cols:
-			a, b = oracle.entry(lam, mu), formula.entry(lam, mu)
-			if a != b:
-				return (job, (lam, mu, str(a), str(b)))
-	return (job, ("?", "?", "?", "?"))  # unreachable: some entry must differ
+	a, b = _cells(oracle), _cells(formula)
+	# the shapes first: a cell that only one side has is `absent` on the other
+	diff = sorted(a.keys() ^ b.keys()) or sorted(c for c in a if a[c] != b[c])
+	if not diff:  # the two differ only in the order of rows or cols
+		return (job, None)
+	return (job, diff[0] + (a.get(diff[0], "absent"), b.get(diff[0], "absent")))
+
+
+def _cells(mat):
+	"""mat's entries as text, keyed by (row, column)."""
+	return {(lam, mu): str(v) for lam, row in zip(mat.rows, mat.entries)
+		for mu, v in zip(mat.cols, row)}
 
 
 def cmd_diff(args):
@@ -297,8 +303,7 @@ def cmd_diff(args):
 			"agree": not bad,
 			"discrepancies": [
 				{"h": j[0], "core": pt.partition_str(j[1]),
-					"lam": pt.partition_str(d[0]) if d[0] != "?" else "?",
-					"mu": pt.partition_str(d[1]) if d[1] != "?" else "?",
+					"lam": pt.partition_str(d[0]), "mu": pt.partition_str(d[1]),
 					"oracle": d[2], "formula": d[3]}
 				for j, d in bad
 			],

@@ -2,17 +2,17 @@
 
 Vectors are finite Z[q,q^-1]-combinations of h-strict partitions.  The
 divided powers f_i^(k) and e_i^(k) act directly: f_i^(k) lam sums over the
-mu obtained by adding k nodes of residue i, e_i^(k) lam over those obtained
-by removing k, and both read the coefficient off one node rule.  For each
-moved node, in column c, count the i-nodes of mu of the moving kind
-(addable for f, removable for e) minus the i-nodes of lam of the other kind
-(removable for f, addable for e): left of c for f, right of c for e.  With
-s the total, the coefficient is q_i^s, where q_i = q, q^2, q^4 for i = 0,
-0 < i < n, i = n.  For i = 0 each pair of columns {mh, mh+1} (m >= 1) of
-which only the outer one moved (mh+1 for f, mh for e) contributes a further
-factor 1 - (-q^2)^b, b the number of parts of lam equal to mh.  e is the
-mirror image of f: negating the columns turns "right of c" into "left of
-c", so one routine serves both.
+mu obtained by adding k of lam's addable i-nodes, e_i^(k) lam over those
+obtained by removing k of its removable ones, and both read the coefficient
+off lam's two i-node sets.  For each moved node, in column c, count lam's
+i-nodes of the moving kind (addable for f, removable for e) that did not
+move, minus its i-nodes of the other kind, left of c for f and right of c
+for e.  With s the total, the coefficient is q_i^s, where q_i = q, q^2, q^4
+for i = 0, 0 < i < n, i = n.  For i = 0 each pair of columns {mh, mh+1}
+(m >= 1) of which only the outer one moved (mh+1 for f, mh for e)
+contributes a further factor 1 - (-q^2)^b, b the number of parts of lam
+equal to mh.  e is the mirror image of f: negating the columns turns
+"right of c" into "left of c", so one routine serves both.
 
 Both operators are linear, so they act term by term: the image of one
 partition, f_i^(k) lam or e_i^(k) lam as a tuple of (mu, coefficient), is
@@ -114,16 +114,17 @@ class FockVector:
 		return "FockVector(h=%d, %s)" % (self.h, self)
 
 
-def _moves(lam, i, k, h, raising):
+def _moves(lam, reach, k, h, raising):
 	"""Each h-strict mu that lam reaches by adding (raising) or removing k
-	residue-i nodes, with the moved nodes' columns.  Every row moves its
-	right edge through its own options, so the residues hold by construction.
+	residue-i nodes, with the moved nodes' columns.  Each row moves its
+	right edge through its own nodes of reach, lam's addable (raising) or
+	removable (lowering) i-nodes; _image says why no mu lies beyond them.
 	"""
-	rows = list(lam)
-	if raising and i == 0:
-		rows.append(0)  # at most one new row can appear, and only for i = 0
+	rows = list(lam) + ([0] if raising else [])  # a new row: one 0-node at most
+	ends = list(rows)
+	for r, c in reach:
+		ends[r - 1] = max(ends[r - 1], c) if raising else min(ends[r - 1], c - 1)
 	sign = 1 if raising else -1
-	opts = [pt._row_options(v, i, h, sign) for v in rows]
 	out = []
 
 	def go(r, prev, used, acc):
@@ -137,7 +138,7 @@ def _moves(lam, i, k, h, raising):
 			return
 		if used + 2 * (len(rows) - r) < k:
 			return  # cannot reach k any more
-		for v in opts[r]:
+		for v in range(rows[r], ends[r] + sign, sign):
 			if v > prev or (v == prev and v % h != 0):
 				continue
 			go(r + 1, v, used + sign * (v - rows[r]), acc + [v])
@@ -149,18 +150,25 @@ def _moves(lam, i, k, h, raising):
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def _image(lam, i, k, h, raising):
 	"""f_i^(k) lam (raising) or e_i^(k) lam (lowering) on one basis vector,
-	as a tuple of (mu, coefficient); the coefficient rule is the one in the
-	module docstring."""
+	as a tuple of (mu, coefficient) by the rule in the module docstring.
+
+	Let lam+ be lam completed by its addable i-nodes.  Every h-strict mu
+	reached from lam by adding i-nodes lies rowwise between lam and lam+,
+	the pointwise optimum (see the node-set walks in partitions).  So lam+
+	is a valid superpartition of mu and mu+ one of lam, whence mu+ = lam+:
+	mu's addable set is lam's minus the moved nodes, and likewise for e
+	with removable sets.  Two node-set calls thus serve every target.
+	"""
 	sign = 1 if raising else -1
-	moving, other = pt.addable_i_nodes, pt.removable_i_nodes
-	if not raising:
-		moving, other = other, moving
-	blocking = sorted(sign * x for _, x in other(lam, i, h))
+	add, rem = pt.addable_i_nodes(lam, i, h), pt.removable_i_nodes(lam, i, h)
+	reach, other = (add, rem) if raising else (rem, add)
+	free = sorted(sign * x for _, x in reach)
+	blocking = sorted(sign * x for _, x in other)
 	out = []
-	for mu, cols in _moves(lam, i, k, h, raising):
-		free = sorted(sign * x for _, x in moving(mu, i, h))
-		s = sum(bisect_left(free, sign * x) - bisect_left(blocking, sign * x)
-			for x in cols)
+	for mu, cols in _moves(lam, reach, k, h, raising):
+		moved = sorted(sign * x for x in cols)
+		s = sum(bisect_left(free, y) - bisect_left(moved, y) - bisect_left(blocking, y)
+			for y in moved)
 		bs = []
 		if i == 0:
 			for x in cols:

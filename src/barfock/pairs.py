@@ -7,10 +7,10 @@ matrices agree under the signature involution, or -- at weight 2, for the
 two interesting shapes -- exactly three exceptional partitions appear on
 each side, with completely explicit operator identities and a short list
 of admissible column patterns tying the two matrices together.  verify_pair
+takes each block's members from the rows of the block's oracle matrix and
 computes the involution image of each source member once, and every check
-that transports an entry or a partition reads it from there; it also sorts
-each block's members into exceptional and unexceptional once, and the
-exceptional triples are built from that split.
+that transports an entry or a partition reads it from there; it sorts the
+members into exceptional and unexceptional once, for the triples too.
 """
 
 from dataclasses import dataclass
@@ -358,7 +358,7 @@ def _column_pattern_failure(ms, mt, tr, images, unex, shape, h):
 	return ""
 
 
-def verify_pair(d, w=2, oracle=canonical_basis):
+def verify_pair(d, w=2):
 	"""Check everything the pair is supposed to satisfy at weight w."""
 	report = PairReport(d, w)
 	h, i = d.h, d.i
@@ -369,17 +369,17 @@ def verify_pair(d, w=2, oracle=canonical_basis):
 
 	sblock = pt.BlockId(h, d.source, w)
 	tblock = pt.BlockId(h, d.target, w)
-	smembers = pt.enumerate_block(sblock)
-	tmembers = pt.enumerate_block(tblock)
-
-	# the involution must carry one block onto the other
-	images = {lam: psi(lam, i, h) for lam in smembers}
-	report.add("block-bijection", sorted(images.values()) == tmembers,
+	ms = canonical_basis(sblock)
+	mt = canonical_basis(tblock)
+	# a matrix's rows are its block's members, lex ascending; the
+	# involution must carry one block onto the other
+	images = {lam: psi(lam, i, h) for lam in ms.rows}
+	report.add("block-bijection", tuple(sorted(images.values())) == mt.rows,
 		"involution images do not exhaust the partner block")
 
-	exc_s = [lam for lam in smembers if not is_unexceptional(lam, d, "source")]
-	unex = [lam for lam in smembers if lam not in exc_s]
-	exc_t = [lam for lam in tmembers if not is_unexceptional(lam, d, "target")]
+	exc_s = [lam for lam in ms.rows if not is_unexceptional(lam, d, "source")]
+	unex = [lam for lam in ms.rows if lam not in exc_s]
+	exc_t = [lam for lam in mt.rows if not is_unexceptional(lam, d, "target")]
 
 	# unexceptional members transport by a plain f_i^(k)
 	bad = ""
@@ -392,9 +392,6 @@ def verify_pair(d, w=2, oracle=canonical_basis):
 			bad = "f-image of unexceptional %s is %s" % (pt.partition_str(lam), got)
 			break
 	report.add("unexceptional-f-transport", not bad, bad)
-
-	ms = oracle(sblock)
-	mt = oracle(tblock)
 
 	if not exc_s:
 		report.add("equivalent-no-target-exceptions", not exc_t,

@@ -97,9 +97,11 @@ def residue(c, h):
 # and is the unique optimum of the total.
 #
 # A column's residue depends only on c % h, so both walks read it from one
-# table per h.  They test a row's options inline, in the order that
-# _row_options lists them backwards, and pass over a row whose edge column
-# has another residue: it keeps its length.
+# table per h.  They try a row's options farthest first and pass over a row
+# whose edge column has another residue: it keeps its length.  These walks
+# are the one statement of the per-row rule: fock reads the moves of k
+# i-nodes off their output, since every h-strict partition reachable from
+# lam this way lies rowwise between lam and the optimum.
 # ---------------------------------------------------------------------------
 
 _RESIDUE_TABLES = {}
@@ -112,19 +114,6 @@ def _residue_table(h):
 	if table is None:
 		table = _RESIDUE_TABLES[h] = tuple(residue(c, h) for c in range(h))
 	return table
-
-
-def _row_options(length, i, h, sign):
-	"""New lengths a row may reach by adding (sign 1) or removing (sign -1)
-	i-nodes at its right edge, the unchanged length first."""
-	res = _residue_table(h)
-	edge = length + (sign > 0)  # the first column to move
-	opts = [length]
-	if edge >= 1 and res[edge % h] == i:
-		opts.append(length + sign)
-		if edge + sign >= 1 and res[(edge + sign) % h] == i:
-			opts.append(length + 2 * sign)
-	return opts
 
 
 def removable_i_nodes(lam, i, h):

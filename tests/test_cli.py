@@ -147,6 +147,31 @@ def test_diff_discrepancy_exits_2(capsys, monkeypatch):
 	assert "DISCREPANCY" in out
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_diff_shape_mismatch_is_a_discrepancy(capsys, monkeypatch, fmt):
+	# a formula that drops its first column: that partition is reported,
+	# `absent` on the formula's side, and the block is named
+	real = cli.formulas.formula_matrix
+
+	def dropped(block):
+		m = real(block)
+		return barfock.canonical.CanonicalBasisMatrix(
+			m.block, m.rows, m.cols[1:], [row[1:] for row in m.entries])
+	monkeypatch.setattr(cli.formulas, "formula_matrix", dropped)
+	code, out, err = run(capsys, "diff", "--h", "5", "--weight", "1",
+		"--max-core-size", "2", "--format", fmt)
+	assert code == 2 and err == ""
+	if fmt == "table":
+		assert out.splitlines() == [
+			"DISCREPANCY h=5 core=() at ((3,2), (3,2)): oracle 1 vs formula absent",
+			"(3 of 3 blocks disagree)"]
+	else:
+		obj = json.loads(out)
+		assert obj["agree"] is False and len(obj["discrepancies"]) == 3
+		assert obj["discrepancies"][1] == {"h": 5, "core": "(1)",
+			"lam": "(3,2,1)", "mu": "(3,2,1)", "oracle": "1", "formula": "absent"}
+
+
 @pytest.mark.parametrize("error,code", [
 	(pt.InvariantError("column (1) is not unitriangular"), 3),
 	(AssertionError("synthetic failure"), 3),

@@ -1,12 +1,16 @@
 """Fock-space operator action: the f/e rules and divided powers."""
 
+import itertools
+
 import pytest
 
 import barfock.partitions as pt
 import barfock.fock as fock
 from barfock.laurent import ZERO, ONE, parse
 
+from test_fock_golden import BOUNDS, POWERS
 from test_laurent import quantum_factorial
+from test_partitions import row_options
 
 
 def vec(h, *terms):
@@ -171,3 +175,50 @@ class TestImageCache:
 
 	def test_cache_is_bounded(self):
 		assert fock._image.cache_info().maxsize == fock.IMAGE_CACHE_SIZE
+
+
+def targets(lam, i, h, raising):
+	"""Each h-strict mu that lam reaches by moving 1 to 3 i-nodes, with
+	the moved nodes, from the per-row residue rule alone."""
+	rows = list(lam) + ([0] if raising and i == 0 else [])
+	sign = 1 if raising else -1
+	for combo in itertools.product(*(row_options(v, i, h, sign) for v in rows)):
+		mu = tuple(v for v in combo if v)
+		moved = {(r + 1, c) for r, (old, new) in enumerate(zip(rows, combo))
+			for c in range(min(old, new) + 1, max(old, new) + 1)}
+		if len(moved) in POWERS and list(combo) == sorted(combo, reverse=True) \
+				and pt.is_h_strict(mu, h):
+			yield mu, moved
+
+
+class TestNodeSetsOfTargets:
+	"""The fact _image rests on: a target's i-nodes of the moving kind are
+	lam's minus the moved nodes, and the moved nodes are among lam's."""
+
+	@pytest.mark.parametrize("h", sorted(BOUNDS))
+	def test_moving_set_of_every_target(self, h):
+		for m in range(BOUNDS[h] + 1):
+			for lam in pt.enumerate_h_strict(m, h):
+				for i in range(pt.n_of(h) + 1):
+					for raising in (True, False):
+						moving = pt.addable_i_nodes if raising else pt.removable_i_nodes
+						reach = moving(lam, i, h)
+						for mu, moved in targets(lam, i, h, raising):
+							assert moved <= set(reach), (lam, i, mu)
+							assert moving(mu, i, h) == \
+								[node for node in reach if node not in moved], (lam, i, mu)
+
+	def test_two_node_set_calls_per_image(self, monkeypatch):
+		calls = []
+		for name in ("addable_i_nodes", "removable_i_nodes"):
+			real = getattr(pt, name)
+			monkeypatch.setattr(pt, name,
+				lambda *args, real=real: calls.append(args) or real(*args))
+		fock._image.cache_clear()
+		cases = [((5, 4), 0, 1, 5, True), ((6, 4, 1), 0, 2, 5, False),
+			((9, 6, 3, 1), 1, 3, 7, True), ((), 2, 4, 5, False)]
+		for lam, i, k, h, raising in cases:
+			del calls[:]
+			fock._image(lam, i, k, h, raising)
+			assert len(calls) == 2 and {args[0] for args in calls} == {lam}
+		fock._image.cache_clear()

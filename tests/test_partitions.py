@@ -152,10 +152,22 @@ def dp_rows(opts_per_row, h, minimise):
 	return result[2]
 
 
+def row_options(length, i, h, sign):
+	"""New lengths a row may reach by adding (sign 1) or removing (sign -1)
+	i-nodes at its right edge, the unchanged length first: every column it
+	passes must have residue i."""
+	opts = [length]
+	c = length + (sign > 0)  # the first column to move
+	while c >= 1 and pt.residue(c, h) == i:
+		opts.append(opts[-1] + sign)
+		c += sign
+	return opts
+
+
 def dp_node_set(lam, i, h, direction):
 	lengths = list(lam) + ([0] if direction == "add" and i == 0 else [])
 	sign = 1 if direction == "add" else -1
-	opts = [pt._row_options(v, i, h, sign) for v in lengths]
+	opts = [row_options(v, i, h, sign) for v in lengths]
 	chosen = dp_rows(opts, h, minimise=direction == "remove")
 	nodes = []
 	for r, (old, new) in enumerate(zip(lengths, chosen)):
