@@ -8,6 +8,11 @@ ascending lex pass straightens it: wherever a coefficient at lam != mu
 fails to lie in qZ[q], subtract the bar-symmetric multiple of G(lam).
 Everything that theory promises along the way is checked, not assumed,
 and the checks raise InvariantError, so they survive `python -O`.
+
+The canonical basis is unique, so finished columns live in one store per
+(h, peel policy), shared by every block the oracle builds: each G(mu) is
+built and checked once per process.  A call that fails takes its
+unfinished columns back out of the store.
 """
 
 import csv
@@ -190,7 +195,8 @@ class CanonicalBasisMatrix:
 		return "\n".join(lines)
 
 
-_CACHE = {}
+_CACHE = {}  # finished matrices, by (block, peel policy)
+_STORE = {}  # by (h, peel policy): (finished columns by mu, interned coefficients)
 
 
 def canonical_basis(block, peel_policy="smallest"):
@@ -208,10 +214,17 @@ def canonical_basis(block, peel_policy="smallest"):
 	its coefficient.  The support of G(lam) is lex >= lam, so a correction
 	never dirties a position already passed.
 
-	G is local to the call and also holds the G(nu) of smaller blocks the
-	recursion reaches; each peel policy builds its own, which keeps the two
-	policies independent cross-checks.  A column asked for while it is
-	being computed is a dependency cycle and a hard error.
+	G is the module's column store for (h, peel policy): every call reads
+	it and adds the columns it builds, the G(nu) of smaller blocks that the
+	recursion reaches included.  The canonical basis is unique, so a column
+	is the same whichever block asked for it, and each one is built and
+	checked once.  The two peel policies keep separate stores, which keeps
+	them independent cross-checks.  Whether a column stays inside the block
+	depends on the block, so that check runs on every target column when
+	the matrix is assembled, stored columns included.  A column asked for
+	while it is being computed is a dependency cycle and a hard error; its
+	in-progress placeholder is None, and a call that raises removes its
+	placeholders, so the store only ever holds fully checked columns.
 	"""
 	key = (block, peel_policy)
 	if key in _CACHE:
@@ -220,8 +233,9 @@ def canonical_basis(block, peel_policy="smallest"):
 	parts = pt.enumerate_block(block)
 	members = set(parts)
 	restricted = [p for p in parts if pt.is_restricted(p, h)]
-	G = {(): fock.FockVector.basis(h, ())}
-	coeffs = {}  # one shared object per distinct coefficient keeps G small
+	if (h, peel_policy) not in _STORE:
+		_STORE[h, peel_policy] = ({(): fock.FockVector.basis(h, ())}, {})
+	G, coeffs = _STORE[h, peel_policy]  # coeffs: one object per distinct coefficient
 	contents = {}  # h-content per partition: columns share most of their terms
 
 	def column(mu):
@@ -258,10 +272,7 @@ def canonical_basis(block, peel_policy="smallest"):
 					del terms[lam]
 		pt.require(terms.get(mu) == ONE, "%s: leading coefficient is not 1", where)
 		content = pt.h_content(mu, h)
-		inside = mu in members
 		for lam, c in terms.items():
-			pt.require(lam in members or not inside,
-				"%s: leaks outside the block at %r", where, lam)
 			if lam not in contents:
 				contents[lam] = pt.h_content(lam, h)
 			pt.require(contents[lam] == content,
@@ -275,10 +286,21 @@ def canonical_basis(block, peel_policy="smallest"):
 		G[mu] = vec = fock.FockVector(h, terms)
 		return vec
 
-	for mu in sorted(restricted, reverse=True):
-		column(mu)
-	del column  # it refers to itself; unbound, G is freed on return
-	entries = [[G[mu].coefficient(lam) for mu in restricted] for lam in parts]
+	try:
+		for mu in sorted(restricted, reverse=True):
+			column(mu)
+	except BaseException:
+		for mu in [m for m, vec in G.items() if vec is None]:
+			del G[mu]
+		raise
+	finally:
+		del column  # it refers to itself; unbound, the call's dicts are freed on return
+	cols = [G[mu] for mu in restricted]
+	for mu, vec in zip(restricted, cols):
+		if not members.issuperset(vec.terms):
+			raise pt.InvariantError("%s, column %s: leaks outside the block at %r"
+				% (block, pt.partition_str(mu), min(vec.terms.keys() - members)))
+	entries = [[vec.coefficient(lam) for vec in cols] for lam in parts]
 	out = CanonicalBasisMatrix(block, parts, restricted, entries)
 	_CACHE[key] = out
 	return out

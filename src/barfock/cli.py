@@ -283,6 +283,8 @@ def cmd_diff(args):
 		raise _UsageError("formulas exist for weights 0, 1, 2")
 	if args.jobs < 1:
 		raise _UsageError("--jobs must be at least 1, got %d" % args.jobs)
+	if args.max_core_size < 0:
+		raise _UsageError("--max-core-size must be at least 0, got %d" % args.max_core_size)
 	jobs = []
 	for h in args.h:
 		for core in pt.enumerate_cores(h, args.max_core_size):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -11,6 +12,8 @@ import pytest
 import barfock.partitions as pt
 import barfock.canonical as cb
 from barfock.laurent import ONE, parse
+
+from test_acceptance import W1_CORES, W2_CORES
 
 
 def signature_nodes(lam, i, h):
@@ -197,6 +200,85 @@ class TestOracle:
 					assert pt.strictly_dominates(lam, mu)
 				if d:
 					assert pt.h_content(lam, block.h) == content
+
+
+@pytest.fixture
+def clean_store():
+	"""Both peel policies' column stores and the matrix cache, empty before
+	and after the test."""
+	def clear():
+		cb._STORE.clear()
+		cb._CACHE.clear()
+	clear()
+	yield clear
+	clear()
+
+
+class TestColumnStore:
+	@pytest.mark.parametrize("policy", ["smallest", "largest"])
+	@pytest.mark.parametrize("error", [pt.InvariantError, KeyboardInterrupt])
+	def test_failed_call_leaves_store_clean(self, clean_store, monkeypatch, policy, error):
+		# fail once more than ten columns are finished and three are in
+		# progress: the placeholders must go, or the next call reports a
+		# false cycle
+		block = pt.BlockId(5, (), 3)
+		real = cb.fock.apply_f
+
+		def failing(vec, i, k=1):
+			columns = cb._STORE[block.h, policy][0]
+			pending = sum(c is None for c in columns.values())
+			if pending >= 3 and len(columns) - pending > 10:
+				raise error("synthetic failure")
+			return real(vec, i, k)
+		monkeypatch.setattr(cb.fock, "apply_f", failing)
+		with pytest.raises(error, match="synthetic failure"):
+			cb.canonical_basis(block, policy)
+		columns = cb._STORE[block.h, policy][0]
+		assert None not in columns.values()
+		assert len(columns) > 10  # columns finished before the failure stay
+		monkeypatch.setattr(cb.fock, "apply_f", real)
+		after_failure = cb.canonical_basis(block, policy)
+		clean_store()
+		assert cb.canonical_basis(block, policy) == after_failure
+
+	def test_leak_check_runs_on_stored_columns(self, clean_store):
+		# a column already in the store is checked against the block that
+		# asks for it: plant a term outside the block in a finished column
+		block = pt.BlockId(5, (1,), 2)
+		mu = cb.canonical_basis(block).cols[0]
+		cb._CACHE.clear()
+		vec = cb._STORE[5, "smallest"][0][mu]
+		vec.terms[(99,)] = ONE
+		with pytest.raises(pt.InvariantError,
+				match=r"^h=5 core=\(1\) w=2, column \(5,3,2,1\): leaks outside the block at \(99,\)$"):
+			cb.canonical_basis(block)
+
+	@pytest.mark.parametrize("policy", ["smallest", "largest"])
+	def test_any_order_same_matrices(self, clean_store, monkeypatch, policy):
+		# every weight-1/2 block of the gate's sweeps: one warm store in a
+		# shuffled order gives the matrices of one cold store per block, and
+		# builds each column once
+		blocks = [pt.BlockId(h, core, w)
+			for w, caps in ((1, W1_CORES), (2, W2_CORES))
+			for h, cap in caps.items()
+			for core in pt.enumerate_cores(h, cap)]
+		cold = {}
+		for block in blocks:
+			cold[block] = cb.canonical_basis(block, policy)
+			clean_store()
+		built = {}
+		real = cb.string_top
+
+		def counting(mu, h, peel_policy="smallest"):
+			key = (h, peel_policy, mu)
+			built[key] = built.get(key, 0) + 1
+			return real(mu, h, peel_policy)
+		monkeypatch.setattr(cb, "string_top", counting)
+		random.Random(2019).shuffle(blocks)
+		for block in blocks:
+			assert cb.canonical_basis(block, policy) == cold[block], block
+		assert built and set(built.values()) == {1}
+		assert {key[:2] for key in built} == {(h, policy) for h in W1_CORES}
 
 
 def test_invariants_survive_optimised_mode():

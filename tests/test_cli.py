@@ -210,6 +210,15 @@ def test_diff_jobs_below_one_is_usage_error(capsys, jobs):
 	assert "--jobs" in err and "at least 1" in err
 
 
+@pytest.mark.parametrize("size", ["-1", "-5"])
+def test_diff_negative_core_size_is_usage_error(capsys, size):
+	# no core has negative size, so the sweep would check nothing and agree
+	code, out, err = run(capsys, "diff", "--h", "3", "--weight", "1",
+		"--max-core-size", size)
+	assert code == 1 and out == ""
+	assert "--max-core-size" in err and "at least 0" in err
+
+
 def test_closed_stdout_exits_quietly(capsys):
 	# a reader that has gone away, as after `| head -c 20`
 	argv = ["cb", "--h", "5", "--core", "(1)", "--weight", "2", "--format", "json"]

@@ -298,6 +298,23 @@ class TestVerifyPair:
 			count += 1
 		assert count >= 20
 
+	def test_sweep_weights_3_and_4(self):
+		# above weight 2 no closed formula checks the oracle; the pairs with
+		# no exceptional source member transport whole matrices under psi_i,
+		# which the theorem promises, so the oracle is checked there too
+		reports = []
+		for w, caps in ((3, {3: 10, 5: 10, 7: 8}), (4, {3: 8, 5: 8})):
+			for h, cap in caps.items():
+				for core in pt.enumerate_cores(h, cap):
+					for d in pr.detect_pairs(core, h):
+						reports.append(pr.verify_pair(d, w))
+		assert len(reports) == 70
+		for rep in reports:
+			assert rep.ok, rep.to_json_obj()
+		transported = [rep for rep in reports
+			if ("matrix-transport", "pass") in ((n, s) for n, s, _ in rep.checks)]
+		assert len(transported) == 15
+
 
 class TestTables:
 	def test_shapes(self):
