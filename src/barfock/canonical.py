@@ -13,6 +13,15 @@ The canonical basis is unique, so finished columns live in one store per
 (h, peel policy), shared by every block the oracle builds: each G(mu) is
 built and checked once per process.  A call that fails takes its
 unfinished columns back out of the store.
+
+Every process-wide table in the package, with its key and its bound:
+- `fock._image`, `fock._coefficient`: by (lam, i, k, h, direction) and by
+  (exponent, bar factors); LRU caches of `fock.IMAGE_CACHE_SIZE` each;
+- `_STORE`: columns and interned coefficients by (h, peel policy);
+  unbounded, one column per restricted partition the process reaches;
+- `_CACHE`: matrices by (block, peel policy); unbounded, views of `_STORE`;
+- `partitions._RESIDUE_TABLES`: one residue tuple per h.
+Nothing else in `src/` keeps state between calls.
 """
 
 import csv
@@ -135,33 +144,48 @@ def peel_word(mu, h, policy="smallest"):
 
 
 class CanonicalBasisMatrix:
-	"""Decomposition-number matrix of one block.
+	"""Decomposition-number matrix of one block, held as sparse columns.
 
 	Rows are all block members lex ascending, columns the restricted ones
-	lex ascending; entry (lam, mu) is the coefficient of lam in G(mu).
+	lex ascending; columns maps each mu, in that order, to the zero-free
+	{lam: coefficient} of G(mu).  The oracle's columns are the store's own
+	dicts, so nothing may change them.
 	"""
 
-	__slots__ = ("block", "rows", "cols", "entries")
+	__slots__ = ("block", "rows", "cols", "columns", "_members")
 
-	def __init__(self, block, rows, cols, entries):
+	def __init__(self, block, rows, columns):
 		self.block = block
-		self.rows = tuple(tuple(r) for r in rows)
-		self.cols = tuple(tuple(c) for c in cols)
-		self.entries = tuple(tuple(row) for row in entries)
+		self.rows = tuple(rows)
+		self.cols = tuple(columns)
+		self.columns = columns
+		self._members = frozenset(self.rows)
+
+	def _column(self, mu):
+		try:
+			return self.columns[tuple(mu)]
+		except KeyError:
+			raise ValueError("%r is not a column of %s" % (mu, self.block)) from None
 
 	def entry(self, lam, mu):
-		return self.entries[self.rows.index(tuple(lam))][self.cols.index(tuple(mu))]
+		lam = tuple(lam)
+		if lam not in self._members:
+			raise ValueError("%r is not a row of %s" % (lam, self.block))
+		return self._column(mu).get(lam, ZERO)
 
 	def column(self, mu):
-		j = self.cols.index(tuple(mu))
-		return fock.FockVector(self.block.h, {
-			lam: row[j] for lam, row in zip(self.rows, self.entries)
-		})
+		return fock.FockVector(self.block.h, self._column(mu))
+
+	@property
+	def entries(self):
+		"""The row-major grid, zeros included; built on every read."""
+		cols = [self.columns[mu] for mu in self.cols]
+		return tuple(tuple(col.get(lam, ZERO) for col in cols) for lam in self.rows)
 
 	def __eq__(self, other):
 		return isinstance(other, CanonicalBasisMatrix) and \
-			(self.block, self.rows, self.cols, self.entries) == \
-			(other.block, other.rows, other.cols, other.entries)
+			(self.block, self.rows, self.cols, self.columns) == \
+			(other.block, other.rows, other.cols, other.columns)
 
 	def to_json_obj(self):
 		return {
@@ -231,7 +255,6 @@ def canonical_basis(block, peel_policy="smallest"):
 		return _CACHE[key]
 	h = block.h
 	parts = pt.enumerate_block(block)
-	members = set(parts)
 	restricted = [p for p in parts if pt.is_restricted(p, h)]
 	if (h, peel_policy) not in _STORE:
 		_STORE[h, peel_policy] = ({(): fock.FockVector.basis(h, ())}, {})
@@ -295,12 +318,10 @@ def canonical_basis(block, peel_policy="smallest"):
 		raise
 	finally:
 		del column  # it refers to itself; unbound, the call's dicts are freed on return
-	cols = [G[mu] for mu in restricted]
-	for mu, vec in zip(restricted, cols):
-		if not members.issuperset(vec.terms):
+	out = CanonicalBasisMatrix(block, parts, {mu: G[mu].terms for mu in restricted})
+	for mu, terms in out.columns.items():
+		if not out._members.issuperset(terms):
 			raise pt.InvariantError("%s, column %s: leaks outside the block at %r"
-				% (block, pt.partition_str(mu), min(vec.terms.keys() - members)))
-	entries = [[vec.coefficient(lam) for vec in cols] for lam in parts]
-	out = CanonicalBasisMatrix(block, parts, restricted, entries)
+				% (block, pt.partition_str(mu), min(terms.keys() - out._members)))
 	_CACHE[key] = out
 	return out

@@ -44,12 +44,9 @@ def _partition_arg(text):
 
 def _h_list(text):
 	try:
-		out = tuple(pt.check_h(int(tok)) for tok in text.split(","))
+		return tuple(pt.check_h(int(tok)) for tok in text.split(","))
 	except ValueError as e:
 		raise argparse.ArgumentTypeError(str(e))
-	if not out:
-		raise argparse.ArgumentTypeError("empty h list")
-	return out
 
 
 def build_parser():
@@ -177,6 +174,10 @@ def cmd_block(args):
 	if (args.size is None) == (args.core is None):
 		raise _UsageError("give exactly one of --size or --core/--weight")
 	if args.size is not None:
+		if args.weight is not None:
+			raise _UsageError("--weight goes with --core, not --size")
+		if args.size < 0:
+			raise _UsageError("--size must be at least 0, got %d" % args.size)
 		lams = pt.enumerate_h_strict(args.size, args.h)
 		head = {"h": args.h, "size": args.size}
 	else:

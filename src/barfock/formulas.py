@@ -7,7 +7,8 @@ exist at weight 2 -- a generic one and three sporadic ones attached to
 the named special partitions of the block.  The sporadic shapes are one
 table of clauses (`at x`, `chain(lo,hi)`), read by one loop that also
 names each entry's clause as its provenance label.  A weight-2 block is
-enumerated, and its special partitions found, once per matrix.
+enumerated, and its special partitions and member profiles found, once
+per matrix; nothing here is kept between calls.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from . import abacus
 from . import partitions as pt
 from .canonical import CanonicalBasisMatrix
-from .laurent import ONE, ZERO, exact_div, q_power
+from .laurent import ONE, exact_div, q_power
 from .laurent import parse as L
 
 
@@ -25,7 +26,7 @@ from .laurent import parse as L
 
 def weight0_matrix(block):
 	pt.require(block.weight == 0, "weight-0 formula on a weight-%d block", block.weight)
-	return CanonicalBasisMatrix(block, [block.core], [block.core], [[ONE]])
+	return CanonicalBasisMatrix(block, [block.core], {block.core: {block.core: ONE}})
 
 
 def weight1_chain(tau, h):
@@ -72,17 +73,12 @@ def _weight1(block):
 	pt.require(chain == sorted(chain), "weight-1 chain should already be lex-sorted")
 	pt.require(chain == pt.enumerate_block(block),
 		"weight-1 chain misses block members over %r", block.core)
-	cols = chain[:-1]
-	entries = [[ZERO] * len(cols) for _ in chain]
-	labels = {}
-	for s, mu in enumerate(cols):
-		lam = chain[s + 1]
-		entries[s][s], labels[(mu, mu)] = ONE, "unit"
-		if h in lam:
-			entries[s + 1][s], labels[(lam, mu)] = q_power(1), "step-h"
-		else:
-			entries[s + 1][s], labels[(lam, mu)] = q_power(2), "step"
-	return CanonicalBasisMatrix(block, chain, cols, entries), labels
+	columns, labels = {}, {}
+	for mu, lam in zip(chain, chain[1:]):
+		step, label = (q_power(1), "step-h") if h in lam else (q_power(2), "step")
+		columns[mu] = {mu: ONE, lam: step}
+		labels[(mu, mu)], labels[(lam, mu)] = "unit", label
+	return CanonicalBasisMatrix(block, chain, columns), labels
 
 
 # ---------------------------------------------------------------------------
@@ -129,25 +125,12 @@ def _colour(lam, tau, h, bars, legs):
 	return "black" if (ell + gam) % 2 == 1 else "white"
 
 
-_PROFILES = {}
-
-
 def weight2_profile(lam, block):
-	key = (block, tuple(lam))
-	if key not in _PROFILES:
-		lam = tuple(lam)
-		bars = abacus.bar_positions(lam, block)
-		legs = tuple(sorted(
-			_leg(c, lam, block.core, block.h) for c in bars
-		))
-		_PROFILES[key] = Weight2Profile(
-			lam=lam,
-			bars=bars,
-			legs=legs,
-			spread=abs(legs[0] - legs[1]),
-			colour=_colour(lam, block.core, block.h, bars, legs),
-		)
-	return _PROFILES[key]
+	lam = tuple(lam)
+	bars = abacus.bar_positions(lam, block)
+	legs = tuple(sorted(_leg(c, lam, block.core, block.h) for c in bars))
+	return Weight2Profile(lam, bars, legs, abs(legs[0] - legs[1]),
+		_colour(lam, block.core, block.h, bars, legs))
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +203,15 @@ def special_partitions(tau, h):
 # weight 2: the matrix
 # ---------------------------------------------------------------------------
 
-def mu_plus(mu, block, members):
+def mu_plus(mu, profiles):
 	"""The least member of the block strictly dominating mu with the same
-	leg spread and colour.  The candidates form a chain; both facts are
-	checked."""
+	leg spread and colour; profiles maps every member to its profile.  The
+	candidates form a chain; both facts are checked."""
 	mu = tuple(mu)
-	prof = weight2_profile(mu, block)
-	cands = []
-	for lam in members:
-		if not pt.strictly_dominates(lam, mu):
-			continue
-		p = weight2_profile(lam, block)
-		if p.spread == prof.spread and p.colour == prof.colour:
-			cands.append(lam)
+	prof = profiles[mu]
+	cands = [lam for lam, p in profiles.items()
+		if (p.spread, p.colour) == (prof.spread, prof.colour)
+		and pt.strictly_dominates(lam, mu)]
 	pt.require(cands, "no like-shaped partition above %r", mu)
 	for x in cands:
 		for y in cands:
@@ -284,9 +263,10 @@ _SPORADIC = {
 }
 
 
-def _weight2_column(mu, block, members, named):
+def _weight2_column(mu, block, profiles, named):
 	"""The nonzero entries of mu's column, as {lam: (value, label)};
-	named maps the names of the block's special partitions to them."""
+	profiles maps every member to its profile, and named the names of the
+	block's special partitions to them."""
 	out = {mu: (ONE, "unit")}
 	name = next((x for x in _SPORADIC if named.get(x) == mu), None)
 	if name is not None:
@@ -294,25 +274,23 @@ def _weight2_column(mu, block, members, named):
 		pt.require(not missing, "%s column without %s", name, " and ".join(missing))
 		clauses = [(label, [named[x] for x in xs], s, value)
 			for label, xs, s, value in _SPORADIC[name]]
-		for lam in members:
+		for lam, p in profiles.items():
 			if lam == mu:
 				continue
-			spread = weight2_profile(lam, block).spread
 			for label, at, s, value in clauses:
-				if (lam == at[0]) if s is None else (s == spread and _between(lam, *at)):
+				if (lam == at[0]) if s is None else (s == p.spread and _between(lam, *at)):
 					out[lam] = (value, label)
 					break
 		return out
 
 	h = block.h
-	mup = mu_plus(mu, block, members)
-	dmu = weight2_profile(mu, block).spread
+	mup = mu_plus(mu, profiles)
+	dmu = profiles[mu].spread
 	mu_has = bool({h, 2 * h} & set(mu))
-	for lam in members:
+	for lam, p in profiles.items():
 		if lam == mup:
 			val, label = L("q^4"), "partner"
-		elif _between(lam, mu, mup) and \
-				abs(weight2_profile(lam, block).spread - dmu) == 1:
+		elif _between(lam, mu, mup) and abs(p.spread - dmu) == 1:
 			val, label = L("q^2"), "between"
 		else:
 			continue
@@ -326,16 +304,15 @@ def _weight2_column(mu, block, members, named):
 def weight2_matrix(block, with_labels=False):
 	pt.require(block.weight == 2, "weight-2 formula on a weight-%d block", block.weight)
 	members = pt.enumerate_block(block)
-	restricted = [p for p in members if pt.is_restricted(p, block.h)]
+	profiles = {lam: weight2_profile(lam, block) for lam in members}
 	named = special_partitions(block.core, block.h).named()
-	row = {lam: r for r, lam in enumerate(members)}
-	entries = [[ZERO] * len(restricted) for _ in members]
-	labels = {}
-	for s, mu in enumerate(restricted):
-		for lam, (val, label) in _weight2_column(mu, block, members, named).items():
-			entries[row[lam]][s] = val
-			labels[(lam, mu)] = label
-	mat = CanonicalBasisMatrix(block, members, restricted, entries)
+	columns, labels = {}, {}
+	for mu in members:
+		if pt.is_restricted(mu, block.h):
+			columns[mu] = col = {}
+			for lam, (val, label) in _weight2_column(mu, block, profiles, named).items():
+				col[lam], labels[(lam, mu)] = val, label
+	mat = CanonicalBasisMatrix(block, members, columns)
 	return (mat, labels) if with_labels else mat
 
 

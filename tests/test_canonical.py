@@ -11,7 +11,7 @@ import pytest
 
 import barfock.partitions as pt
 import barfock.canonical as cb
-from barfock.laurent import ONE, parse
+from barfock.laurent import ONE, ZERO, parse
 
 from test_acceptance import W1_CORES, W2_CORES
 
@@ -139,6 +139,19 @@ class TestOracle:
 		assert m.rows == ((3, 1),) and m.cols == ((3, 1),)
 		assert m.entries == ((ONE,),)
 
+	def test_entry_and_column_outside_the_matrix_raise(self):
+		m = cb.canonical_basis(pt.BlockId(5, (1,), 2))
+		top = m.rows[-1]  # not restricted, so a row but no column
+		assert top not in m.cols
+		assert m.entry(list(m.rows[0]), list(m.cols[-1])) == ZERO
+		for mu in [top, (99,)]:
+			with pytest.raises(ValueError):
+				m.entry(m.rows[0], mu)
+			with pytest.raises(ValueError):
+				m.column(mu)
+		with pytest.raises(ValueError):
+			m.entry((99,), m.cols[0])
+
 	def test_displayed_columns(self):
 		block = pt.BlockId(5, (), 2)
 		m = cb.canonical_basis(block)
@@ -240,6 +253,16 @@ class TestColumnStore:
 		after_failure = cb.canonical_basis(block, policy)
 		clean_store()
 		assert cb.canonical_basis(block, policy) == after_failure
+
+	@pytest.mark.parametrize("policy", ["smallest", "largest"])
+	def test_matrix_columns_are_the_store_columns(self, clean_store, policy):
+		# a block's matrix is a view of the store, not a second copy
+		for block in [pt.BlockId(5, (1,), 2), pt.BlockId(5, (), 3), pt.BlockId(7, (), 2)]:
+			m = cb.canonical_basis(block, policy)
+			store = cb._STORE[block.h, policy][0]
+			assert m.cols
+			for mu in m.cols:
+				assert m.columns[mu] is store[mu].terms
 
 	def test_leak_check_runs_on_stored_columns(self, clean_store):
 		# a column already in the store is checked against the block that

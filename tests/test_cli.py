@@ -51,6 +51,21 @@ def test_block_show_abacus(capsys):
 	assert "b" in out and "n" in out and "x" in out
 
 
+def test_block_size_with_weight_is_usage_error(capsys):
+	# --weight only qualifies --core; with --size it used to be ignored
+	code, out, err = run(capsys, "block", "--h", "5", "--size", "6", "--weight", "2")
+	assert code == 1 and out == ""
+	assert "--weight" in err and "--core" in err
+
+
+@pytest.mark.parametrize("size", ["-1", "-3"])
+def test_block_negative_size_is_usage_error(capsys, size):
+	# no partition has negative size: the listing would be empty yet exit 0
+	code, out, err = run(capsys, "block", "--h", "5", "--size", size)
+	assert code == 1 and out == ""
+	assert "--size" in err and "at least 0" in err
+
+
 def test_core_command(capsys):
 	code, out, _ = run(capsys, "core", "--h", "5", "--partition", "(9,6,3,1)")
 	assert code == 0
@@ -156,7 +171,7 @@ def test_diff_shape_mismatch_is_a_discrepancy(capsys, monkeypatch, fmt):
 	def dropped(block):
 		m = real(block)
 		return barfock.canonical.CanonicalBasisMatrix(
-			m.block, m.rows, m.cols[1:], [row[1:] for row in m.entries])
+			m.block, m.rows, {mu: m.columns[mu] for mu in m.cols[1:]})
 	monkeypatch.setattr(cli.formulas, "formula_matrix", dropped)
 	code, out, err = run(capsys, "diff", "--h", "5", "--weight", "1",
 		"--max-core-size", "2", "--format", fmt)

@@ -1,11 +1,18 @@
 """Closed-form decomposition matrices: weight 0, 1 and 2."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 import barfock.partitions as pt
 import barfock.canonical as cb
 import barfock.formulas as fm
 from barfock.laurent import ONE, parse
+
+from test_acceptance import W2_CORES
 
 
 class TestWeight1:
@@ -150,18 +157,21 @@ class TestSpecials:
 				assert lam in members, (name, lam)
 
 
+def _profiles(block):
+	return {lam: fm.weight2_profile(lam, block) for lam in pt.enumerate_block(block)}
+
+
 class TestMuPlus:
 	def test_displayed_values(self):
-		b = pt.BlockId(5, (1,), 2)
-		members = pt.enumerate_block(b)
-		assert fm.mu_plus((6, 3, 2), b, members) == (7, 3, 1)
-		assert fm.mu_plus((6, 4, 1), b, members) == (10, 1)
+		profiles = _profiles(pt.BlockId(5, (1,), 2))
+		assert fm.mu_plus((6, 3, 2), profiles) == (7, 3, 1)
+		assert fm.mu_plus((6, 4, 1), profiles) == (10, 1)
 
 	def test_same_statistics(self):
 		b = pt.BlockId(5, (1,), 2)
-		members = pt.enumerate_block(b)
+		profiles = _profiles(b)
 		for mu in [(6, 3, 2), (6, 4, 1)]:
-			up = fm.mu_plus(mu, b, members)
+			up = fm.mu_plus(mu, profiles)
 			p, q = fm.weight2_profile(mu, b), fm.weight2_profile(up, b)
 			assert (p.spread, p.colour) == (q.spread, q.colour)
 			assert pt.strictly_dominates(up, mu)
@@ -203,3 +213,34 @@ class TestDispatch:
 	def test_weight_cap(self):
 		with pytest.raises(ValueError):
 			fm.formula_matrix(pt.BlockId(5, (), 3))
+
+
+def test_formulas_keep_no_state():
+	# in a fresh interpreter: the gate's weight-2 sweep leaves every
+	# module-level container (and any cached function) of formulas as it was
+	script = textwrap.dedent("""
+		import barfock.formulas as fm
+		import barfock.partitions as pt
+
+		def sizes():
+			out = {}
+			for name, v in vars(fm).items():
+				if isinstance(v, (dict, list, set)) and not name.startswith("__"):
+					out[name] = len(v)
+				elif hasattr(v, "cache_info"):
+					out[name] = v.cache_info().currsize
+			return out
+
+		before = sizes()
+		for h, cap in %r.items():
+			for core in pt.enumerate_cores(h, cap):
+				fm.formula_matrix(pt.BlockId(h, core, 2))
+		assert sizes() == before, (before, sizes())
+		print(sorted(before))
+	""" % (W2_CORES,))
+	src = os.path.dirname(os.path.dirname(os.path.abspath(fm.__file__)))
+	proc = subprocess.run([sys.executable, "-c", script],
+		capture_output=True, text=True, timeout=120,
+		env=dict(os.environ, PYTHONPATH=src))
+	assert proc.returncode == 0, proc.stderr
+	assert "_SPORADIC" in proc.stdout
