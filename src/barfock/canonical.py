@@ -18,7 +18,10 @@ Every process-wide table in the package, with its key and its bound:
 - `fock._image`, `fock._coefficient`: by (lam, i, k, h, direction) and by
   (exponent, bar factors); LRU caches of `fock.IMAGE_CACHE_SIZE` each;
 - `_STORE`: columns and interned coefficients by (h, peel policy);
-  unbounded, one column per restricted partition the process reaches;
+  unbounded, one column per restricted partition the process reaches.
+  A column is a plain zero-free {lam: coefficient} dict, and a
+  coefficient is checked against `laurent.COEFF_BOUND` when it is first
+  interned, which keeps the packed arithmetic exact (see `laurent`);
 - `_CACHE`: matrices by (block, peel policy); unbounded, views of `_STORE`;
 - `partitions._RESIDUE_TABLES`: one residue tuple per h.
 Nothing else in `src/` keeps state between calls.
@@ -30,7 +33,7 @@ import io
 
 from . import fock
 from . import partitions as pt
-from .laurent import ONE, ZERO, symmetric_correction
+from .laurent import COEFF_BOUND, ONE, ZERO, symmetric_correction
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +190,20 @@ class CanonicalBasisMatrix:
 			(self.block, self.rows, self.cols, self.columns) == \
 			(other.block, other.rows, other.cols, other.columns)
 
+	def _text_rows(self, zero="0"):
+		"""The grid as text, row by row, zero entries as `zero`; each
+		distinct coefficient is rendered once."""
+		row_of = {lam: r for r, lam in enumerate(self.rows)}
+		grid = [[zero] * len(self.cols) for _ in self.rows]
+		memo = {}
+		for j, mu in enumerate(self.cols):
+			for lam, c in self.columns[mu].items():
+				text = memo.get(c)
+				if text is None:
+					text = memo[c] = str(c)
+				grid[row_of[lam]][j] = text
+		return grid
+
 	def to_json_obj(self):
 		return {
 			"h": self.block.h,
@@ -194,24 +211,22 @@ class CanonicalBasisMatrix:
 			"weight": self.block.weight,
 			"rows": [pt.partition_str(r) for r in self.rows],
 			"cols": [pt.partition_str(c) for c in self.cols],
-			"entries": [[str(e) for e in row] for row in self.entries],
+			"entries": self._text_rows(),
 		}
 
 	def to_csv(self):
 		buf = io.StringIO()
 		w = csv.writer(buf, lineterminator="\n")
 		w.writerow([""] + [pt.partition_str(c) for c in self.cols])
-		for lam, row in zip(self.rows, self.entries):
-			w.writerow([pt.partition_str(lam)] + [str(e) for e in row])
+		for lam, row in zip(self.rows, self._text_rows()):
+			w.writerow([pt.partition_str(lam)] + row)
 		return buf.getvalue()
 
 	def to_text(self):
 		"""Aligned table; zero entries print as a centred dot."""
 		head = [""] + [pt.partition_str(c) for c in self.cols]
-		body = [
-			[pt.partition_str(lam)] + [str(e) if e else "·" for e in row]
-			for lam, row in zip(self.rows, self.entries)
-		]
+		body = [[pt.partition_str(lam)] + row
+			for lam, row in zip(self.rows, self._text_rows(zero="·"))]
 		widths = [max(len(line[j]) for line in [head] + body) for j in range(len(head))]
 		lines = []
 		for line in [head] + body:
@@ -257,7 +272,7 @@ def canonical_basis(block, peel_policy="smallest"):
 	parts = pt.enumerate_block(block)
 	restricted = [p for p in parts if pt.is_restricted(p, h)]
 	if (h, peel_policy) not in _STORE:
-		_STORE[h, peel_policy] = ({(): fock.FockVector.basis(h, ())}, {})
+		_STORE[h, peel_policy] = ({(): {(): ONE}}, {})
 	G, coeffs = _STORE[h, peel_policy]  # coeffs: one object per distinct coefficient
 	contents = {}  # h-content per partition: columns share most of their terms
 
@@ -268,7 +283,8 @@ def canonical_basis(block, peel_policy="smallest"):
 			return G[mu]
 		G[mu] = None  # in progress
 		nu, i, k = string_top(mu, h, peel_policy)
-		terms = dict(fock.apply_f(column(nu), i, k).terms)
+		# apply_f's result is a fresh dict: the column is built in it
+		terms = fock.apply_f(fock.FockVector.wrap(h, column(nu)), i, k).terms
 		where = "%s, column %s" % (block, pt.partition_str(mu))
 		lead = terms.get(mu, ZERO)
 		pt.require((lead - ONE).divisible_by_q(),
@@ -283,7 +299,7 @@ def canonical_basis(block, peel_policy="smallest"):
 			pt.require(pt.is_restricted(bad, h),
 				"%s: correction needed at non-restricted %r", where, bad)
 			s = symmetric_correction(c)
-			for lam, d in column(bad).terms.items():
+			for lam, d in column(bad).items():
 				pt.require(lam >= bad,
 					"%s: the correction G%s reaches below itself at %r", where, bad, lam)
 				if lam not in terms:
@@ -305,9 +321,14 @@ def canonical_basis(block, peel_policy="smallest"):
 					"%s: off-diagonal entry at %r not in qZ[q]", where, lam)
 				pt.require(pt.strictly_dominates(lam, mu),
 					"%s: support fails dominance at %r", where, lam)
-			terms[lam] = coeffs.setdefault(c, c)
-		G[mu] = vec = fock.FockVector(h, terms)
-		return vec
+			kept = coeffs.get(c)
+			if kept is None:
+				pt.require(c.height() <= COEFF_BOUND,
+					"%s: coefficient %s at %r exceeds the bound %d", where, c, lam, COEFF_BOUND)
+				kept = coeffs[c] = c
+			terms[lam] = kept
+		G[mu] = terms
+		return terms
 
 	try:
 		for mu in sorted(restricted, reverse=True):
@@ -318,7 +339,7 @@ def canonical_basis(block, peel_policy="smallest"):
 		raise
 	finally:
 		del column  # it refers to itself; unbound, the call's dicts are freed on return
-	out = CanonicalBasisMatrix(block, parts, {mu: G[mu].terms for mu in restricted})
+	out = CanonicalBasisMatrix(block, parts, {mu: G[mu] for mu in restricted})
 	for mu, terms in out.columns.items():
 		if not out._members.issuperset(terms):
 			raise pt.InvariantError("%s, column %s: leaks outside the block at %r"

@@ -330,6 +330,7 @@ def cmd_verify_pair(args):
 	found = [d for d in pairs.detect_pairs(args.source_core, args.h)
 		if d.i == args.i]
 	if not found:
+		pt.addable_i_nodes(args.source_core, args.i, args.h)  # names 0..n for a bad residue
 		raise _UsageError("%s has no addable %d-nodes, so no pair there"
 			% (pt.partition_str(args.source_core), args.i))
 	report = pairs.verify_pair(found[0], args.weight)

@@ -23,8 +23,10 @@ the same partitions again and again, within a block and across blocks, and
 the cache is keyed by the whole input, so every caller (the oracle on
 every block, the pair checks) shares it.  Sharing is safe because an
 image is immutable: a tuple of tuples of partitions and Laurent values, and
-callers get a fresh FockVector built from it.  Equal coefficients are one
-Laurent object, which keeps the cached images small.
+callers get a FockVector over a fresh dict built from it.  Equal
+coefficients are one Laurent object, which keeps the cached images small.
+The library's own vectors come from FockVector.wrap, which takes a clean
+dict as it is; the checking constructor is for callers outside.
 """
 
 from bisect import bisect_left
@@ -36,6 +38,8 @@ from .laurent import Laurent, ONE, ZERO, q_power, _q_i_exponent
 # images kept by _image: twice the 6,217 distinct images of the h=7 w=6
 # block, so the largest blocks in use never evict their own working set
 IMAGE_CACHE_SIZE = 1 << 14
+
+_new = object.__new__
 
 
 class FockVector:
@@ -56,6 +60,15 @@ class FockVector:
 	@classmethod
 	def basis(cls, h, lam, coeff=1):
 		return cls(h, {tuple(lam): coeff})
+
+	@classmethod
+	def wrap(cls, h, terms):
+		"""A vector over terms, taken as it is: the library's own zero-free
+		{partition tuple: Laurent} dicts skip the constructor's checks."""
+		vec = _new(cls)
+		vec.h = h
+		vec.terms = terms
+		return vec
 
 	def coefficient(self, lam):
 		return self.terms.get(tuple(lam), ZERO)
@@ -157,11 +170,17 @@ def _image(lam, i, k, h, raising):
 	the pointwise optimum (see the node-set walks in partitions).  So lam+
 	is a valid superpartition of mu and mu+ one of lam, whence mu+ = lam+:
 	mu's addable set is lam's minus the moved nodes, and likewise for e
-	with removable sets.  Two node-set calls thus serve every target.
+	with removable sets.  Two node-set calls thus serve every target, and
+	one serves when lam has fewer than k nodes of the moving kind, whose
+	image is empty.
 	"""
 	sign = 1 if raising else -1
-	add, rem = pt.addable_i_nodes(lam, i, h), pt.removable_i_nodes(lam, i, h)
-	reach, other = (add, rem) if raising else (rem, add)
+	reach_of, other_of = (pt.addable_i_nodes, pt.removable_i_nodes) if raising \
+		else (pt.removable_i_nodes, pt.addable_i_nodes)
+	reach = reach_of(lam, i, h)
+	if len(reach) < k:
+		return ()  # fewer than k nodes can move
+	other = other_of(lam, i, h)
 	free = sorted(sign * x for _, x in reach)
 	blocking = sorted(sign * x for _, x in other)
 	out = []
@@ -191,16 +210,17 @@ def _coefficient(e, bs):
 
 def _apply(vec, i, k, raising):
 	"""f_i^(k) (raising) or e_i^(k) (lowering) on a Fock vector: the sum of
-	its terms' cached images, each scaled by the term's coefficient."""
-	if k == 0:
-		return vec
+	its terms' cached images, each scaled by the term's coefficient.  The
+	result's terms are always a fresh dict, which the caller may keep."""
 	h = vec.h
+	if k == 0:
+		return FockVector.wrap(h, dict(vec.terms))
 	acc = {}
 	for lam, c in vec.terms.items():
 		for mu, coeff in _image(lam, i, k, h, raising):
 			nc = c * coeff
 			acc[mu] = acc[mu] + nc if mu in acc else nc
-	return FockVector(h, acc)
+	return FockVector.wrap(h, {mu: c for mu, c in acc.items() if c})
 
 
 def apply_f(vec, i, k=1):

@@ -1,8 +1,42 @@
 """Exact Laurent polynomials in the variable q, with integer coefficients.
 
 Everything downstream (Fock-space coefficients, canonical-basis entries,
-closed formulas) is arithmetic in Z[q, q^-1], so this module keeps it exact:
-a sparse map exponent -> coefficient, no floats anywhere.
+closed formulas) is arithmetic in Z[q, q^-1], so this module keeps it exact,
+with no floats anywhere.
+
+Representation (Kronecker substitution).  A nonzero f = sum_e v_e q^e is
+held as the pair (lo, p), where lo is its lowest exponent and
+
+    p = sum_e v_e * 2^(B*(e - lo)),    B = 64,
+
+so p packs the coefficients as balanced B-bit digits, each in
+[-2^(B-1), 2^(B-1)), lowest exponent first, with the lowest digit nonzero.
+Zero is (0, 0).  A product is (lo1 + lo2, p1 * p2); a sum is one shift and
+one add, then the zero low digits are stripped; divisible_by_q is lo >= 1;
+equality and hashing compare (lo, p).  Only bar, coefficient, eval_at_one,
+height, items, symmetric_correction, exact_div and str decode the digits.
+
+Exactness.  Python ints are exact and evaluation at q = 2^B is a ring
+homomorphism, so p is always the exact value at 2^B of q^-lo f, whatever
+the coefficients are.  A balanced base-2^B expansion is unique, so zero
+tests, equality, hashing and decoding are right exactly when every true
+coefficient fits the digit range; one that does not would silently corrupt
+its neighbours.  COEFF_BOUND = 2^16 keeps that far away.  A product of two
+values with coefficients within the bound and at most 2^k terms each has
+coefficients below 2^(32+k), and a sum of 2^m such products stays inside
+the digit range while k + m <= 30.  The canonical-basis oracle builds each
+entry of a column that way: one product per term of G(nu) (a stored
+coefficient times a Fock structure constant, q^e times a few factors
+1 - (-q^2)^b) and one per correction (symmetric_correction's output times
+a stored coefficient).  Exponent spans stay below 2^7 terms and summands
+below 2^14 (twice the rows of the largest block in use), so the margin is
+2^9.  The bound is enforced, raising InvariantError (which survives
+`python -O`), by the public constructor, which symmetric_correction, parse
+and exact_div go through, and by the oracle's store when it first keeps a
+coefficient.  The largest coefficient any block here has shown is 352.
+The arithmetic itself does not re-check: a long chain of products built
+outside the oracle (say (1 + q)^70, whose middle coefficient passes 2^63)
+is exact only while its coefficients fit the digit range.
 
 >>> f = parse("q + q^-1")
 >>> print(f * f)
@@ -10,33 +44,46 @@ q^-2 + 2 + q^2
 """
 
 import re
+import struct
+
+from .partitions import InvariantError
 
 __all__ = [
-    "Laurent", "ZERO", "ONE",
+    "Laurent", "ZERO", "ONE", "COEFF_BOUND",
     "q_power", "parse", "exact_div", "symmetric_correction",
 ]
 
+COEFF_BOUND = 1 << 16  # largest |coefficient| the constructor and the store accept
+
+_B = 64  # digit width in bits; _unpack reads each digit as one 8-byte word
+_HALF = 1 << (_B - 1)
+
 
 class Laurent:
-	"""A Laurent polynomial in q over the integers.
+	"""A Laurent polynomial in q over the integers, packed as (lo, p).
 
-	Immutable in practice: no method mutates self.  The coefficient map
-	never stores zeros, so equality and hashing are structural.
+	Immutable: no method mutates self, and the packed form is canonical,
+	so equality and hashing are structural.
 	"""
 
-	__slots__ = ("c", "_hash")
+	__slots__ = ("lo", "p")
 
 	def __init__(self, coeffs=None):
 		if coeffs is None:
-			c = {}
+			coeffs = {}
 		elif isinstance(coeffs, int):
-			c = {0: coeffs} if coeffs else {}
-		elif isinstance(coeffs, dict):
-			c = {e: v for e, v in coeffs.items() if v}
-		else:
+			coeffs = {0: coeffs}
+		elif not isinstance(coeffs, dict):
 			raise TypeError("coeffs must be an int or a dict exponent -> int")
-		object.__setattr__(self, "c", c)
-		object.__setattr__(self, "_hash", None)
+		for e, v in coeffs.items():
+			if not isinstance(e, int) or not isinstance(v, int):
+				raise TypeError("coeffs must map int exponents to int values")
+			if abs(v) > COEFF_BOUND:
+				raise InvariantError("coefficient %d of q^%d exceeds the bound %d"
+					% (v, e, COEFF_BOUND))
+		lo, p = _pack(coeffs)
+		_set_lo(self, lo)
+		_set_p(self, p)
 
 	def __setattr__(self, name, value):
 		raise AttributeError("Laurent values are immutable")
@@ -44,20 +91,28 @@ class Laurent:
 	# ---- ring structure ----
 
 	def __add__(self, other):
-		other = _coerce(other)
-		c = dict(self.c)
-		for e, v in other.c.items():
-			w = c.get(e, 0) + v
-			if w:
-				c[e] = w
-			elif e in c:
-				del c[e]
-		return _from_map(c)
+		if other.__class__ is not Laurent:
+			other = _coerce(other)
+		p, q = self.p, other.p
+		if not q:
+			return self
+		if not p:
+			return other
+		d = other.lo - self.lo
+		if d > 0:  # self's lowest digit stays the lowest
+			return _make(self.lo, p + (q << _B * d))
+		if d < 0:
+			return _make(other.lo, q + (p << -_B * d))
+		p += q
+		if not p:
+			return ZERO
+		zeros = ((p & -p).bit_length() - 1) // _B  # low digits that cancelled
+		return _make(self.lo + zeros, p >> _B * zeros)
 
 	__radd__ = __add__
 
 	def __neg__(self):
-		return _from_map({e: -v for e, v in self.c.items()})
+		return _make(self.lo, -self.p)
 
 	def __sub__(self, other):
 		return self + (-_coerce(other))
@@ -66,71 +121,65 @@ class Laurent:
 		return _coerce(other) + (-self)
 
 	def __mul__(self, other):
-		other = _coerce(other)
-		a, b = (self.c, other.c) if len(self.c) >= len(other.c) else (other.c, self.c)
-		if len(b) == 1:
-			# times a monomial: nothing can cancel
-			(e2, v2), = b.items()
-			return _from_map({e1 + e2: v1 * v2 for e1, v1 in a.items()})
-		c = {}
-		for e1, v1 in a.items():
-			for e2, v2 in b.items():
-				e = e1 + e2
-				w = c.get(e, 0) + v1 * v2
-				if w:
-					c[e] = w
-				elif e in c:
-					del c[e]
-		return _from_map(c)
+		if other.__class__ is not Laurent:
+			other = _coerce(other)
+		p = self.p * other.p
+		return _make(self.lo + other.lo, p) if p else ZERO
 
 	__rmul__ = __mul__
 
 	def __eq__(self, other):
 		if isinstance(other, int):
-			other = Laurent(other)
+			# one digit is all a constant can be, and it fits the range
+			return self.lo == 0 and self.p == other and -_HALF <= other < _HALF
 		if not isinstance(other, Laurent):
 			return NotImplemented
-		return self.c == other.c
+		return self.lo == other.lo and self.p == other.p
 
 	def __hash__(self):
-		if self._hash is None:
-			object.__setattr__(self, "_hash", hash(tuple(sorted(self.c.items()))))
-		return self._hash
+		return hash((self.lo, self.p))
 
 	def __bool__(self):
-		return bool(self.c)
+		return self.p != 0
 
 	# ---- the operations the canonical-basis machinery needs ----
 
 	def shift(self, m):
 		"""Multiply by q^m."""
-		return _from_map({e + m: v for e, v in self.c.items()})
+		return _make(self.lo + m, self.p) if self.p else ZERO
 
 	def bar(self):
 		"""The involution q -> q^-1."""
-		return _from_map({-e: v for e, v in self.c.items()})
+		return _make(*_pack({-e: v for e, v in self.items()}))
 
 	def eval_at_one(self):
-		return sum(self.c.values())
+		return sum(_unpack(self.p))
 
 	def divisible_by_q(self):
 		"""True iff every exponent is >= 1 (so 0 qualifies)."""
-		return all(e >= 1 for e in self.c)
+		return self.lo >= 1 or not self.p
 
 	def coefficient(self, e):
-		return self.c.get(e, 0)
+		digits = _unpack(self.p)
+		k = e - self.lo
+		return digits[k] if 0 <= k < len(digits) else 0
 
-	def min_exp(self):
-		return min(self.c) if self.c else 0
+	def height(self):
+		"""The largest absolute value of a coefficient (0 for zero)."""
+		return max(map(abs, _unpack(self.p)), default=0)
+
+	def items(self):
+		"""(exponent, coefficient) pairs with nonzero coefficient, ascending."""
+		lo = self.lo
+		return [(lo + k, v) for k, v in enumerate(_unpack(self.p)) if v]
 
 	# ---- canonical text form ----
 
 	def __str__(self):
-		if not self.c:
+		if not self.p:
 			return "0"
 		out = []
-		for e in sorted(self.c):
-			v = self.c[e]
+		for e, v in self.items():
 			if e == 0:
 				body = str(abs(v))
 			else:
@@ -147,17 +196,51 @@ class Laurent:
 
 
 _new = object.__new__
-_set_c = Laurent.__dict__["c"].__set__
-_set_hash = Laurent.__dict__["_hash"].__set__
+_set_lo = Laurent.__dict__["lo"].__set__
+_set_p = Laurent.__dict__["p"].__set__
 
 
-def _from_map(c):
-	"""A Laurent over c, which must already be zero-free; the arithmetic
-	builds only such maps, so it skips the public constructor's checks."""
+def _make(lo, p):
+	"""The Laurent (lo, p), which must be normalised: (0, 0), or p with a
+	nonzero lowest digit.  The arithmetic builds only such pairs, so it
+	skips the constructor."""
 	out = _new(Laurent)
-	_set_c(out, c)
-	_set_hash(out, None)
+	_set_lo(out, lo)
+	_set_p(out, p)
 	return out
+
+
+def _pack(coeffs):
+	"""The normalised (lo, p) of a map exponent -> coefficient whose
+	coefficients fit the digit range; (0, 0) for zero."""
+	if not coeffs:
+		return 0, 0
+	lo = min(coeffs)
+	p = 0
+	for e, v in coeffs.items():
+		p += v << _B * (e - lo)
+	if not p:
+		return 0, 0
+	zeros = ((p & -p).bit_length() - 1) // _B  # zero coefficients at the bottom
+	return lo + zeros, p >> _B * zeros
+
+
+def _unpack(p):
+	"""The balanced digits of p, lowest first, without zero top digits.
+
+	Adding 2^(B-1) at every digit position turns balanced digits into
+	unsigned ones without a carry; those are read as little-endian 8-byte
+	words, and the offset is taken off again.
+	"""
+	if -_HALF <= p < _HALF:
+		return [p] if p else []
+	n = p.bit_length() // _B + 1  # a top digit at index t needs |p| >= 2^(B*t - 1)
+	offset = int.from_bytes(_HALF.to_bytes(8, "little") * n, "little")
+	words = struct.unpack("<%dQ" % n, (p + offset).to_bytes(8 * n, "little"))
+	digits = [w - _HALF for w in words]
+	while not digits[-1]:
+		digits.pop()
+	return digits
 
 
 def _coerce(x):
@@ -168,12 +251,12 @@ def _coerce(x):
 	raise TypeError("cannot mix Laurent with %r" % type(x).__name__)
 
 
-ZERO = Laurent()
-ONE = Laurent(1)
+ZERO = _make(0, 0)
+ONE = _make(0, 1)
 
 
 def q_power(m):
-	return Laurent({m: 1})
+	return _make(m, 1)
 
 
 _TERM = re.compile(r"^(?:(-?\d+)\*)?(?:(-)?q(?:\^(-?\d+))?)?$")
@@ -223,9 +306,8 @@ def exact_div(f, g):
 	if not f:
 		return ZERO
 	# normalise both to honest polynomials with nonzero constant term
-	mf, mg = f.min_exp(), g.min_exp()
-	num = {e - mf: v for e, v in f.c.items()}
-	den = {e - mg: v for e, v in g.c.items()}
+	num = {e - f.lo: v for e, v in f.items()}
+	den = {e - g.lo: v for e, v in g.items()}
 	ddeg = max(den)
 	dlead = den[ddeg]
 	quot = {}
@@ -245,7 +327,7 @@ def exact_div(f, g):
 				num[k] = w
 			elif k in num:
 				del num[k]
-	return Laurent(quot).shift(mf - mg)
+	return Laurent(quot).shift(f.lo - g.lo)
 
 
 def _q_i_exponent(i, h):
@@ -268,10 +350,9 @@ def symmetric_correction(f):
 	"""
 	f = _coerce(f)
 	c = {}
-	for e, v in f.c.items():
-		if e < 0:
-			c[e] = c.get(e, 0) + v
-			c[-e] = c.get(-e, 0) + v
-		elif e == 0:
-			c[0] = c.get(0, 0) + v
+	for e, v in f.items():
+		if e > 0:
+			break
+		c[e] = v
+		c[-e] = v
 	return Laurent(c)

@@ -97,8 +97,10 @@ def residue(c, h):
 # and is the unique optimum of the total.
 #
 # A column's residue depends only on c % h, so both walks read it from one
-# table per h.  They try a row's options farthest first and pass over a row
-# whose edge column has another residue: it keeps its length.  These walks
+# table per h.  A residue outside 0..n matches no column, so a walk over it
+# finds no nodes, and only an empty result pays for the range check.  They
+# try a row's options farthest first and pass over a row whose edge column
+# has another residue: it keeps its length.  These walks
 # are the one statement of the per-row rule: fock reads the moves of k
 # i-nodes off their output, since every h-strict partition reachable from
 # lam this way lies rowwise between lam and the optimum.
@@ -114,6 +116,10 @@ def _residue_table(h):
 	if table is None:
 		table = _RESIDUE_TABLES[h] = tuple(residue(c, h) for c in range(h))
 	return table
+
+
+def _residue_error(i, h):
+	return ValueError("residue %r out of range 0..%d for h=%d" % (i, n_of(h), h))
 
 
 def removable_i_nodes(lam, i, h):
@@ -132,6 +138,8 @@ def removable_i_nodes(lam, i, h):
 					v = w
 					break
 		below = v
+	if not nodes and not 0 <= i <= h // 2:  # h // 2 is n
+		raise _residue_error(i, h)
 	nodes.sort(key=_BY_COLUMN)
 	return nodes
 
@@ -153,6 +161,8 @@ def addable_i_nodes(lam, i, h):
 					v = w
 					break
 		above = v
+	if not nodes and not 0 <= i <= h // 2:  # h // 2 is n
+		raise _residue_error(i, h)
 	nodes.sort(key=_BY_COLUMN)
 	return nodes
 

@@ -5,7 +5,8 @@ through `partitions`, the oracle through `pairs` and `canonical`, ...) and
 probes `canonical._CACHE`.  A rename in the library would only show up as a
 failing `--trace 1` benchmark run; this test installs the tracer in a fresh
 interpreter, so the rebinding leaves this process alone, and runs one
-traced oracle call.  It reads bench/ and changes nothing there.
+traced oracle call, which must pass through the wrapped Fock operator and
+Laurent product.  It reads bench/ and changes nothing there.
 """
 
 import os
@@ -32,6 +33,10 @@ snap = tr.snapshot()
 assert snap["spans"]["canonical.canonical_basis"][0] == 2, snap
 assert snap["counters"]["canonical.canonical_basis.cache_hits"] == 1, snap
 assert snap["spans"]["partitions.node_sets"][0] > 0, snap
+# the cold call's hot path runs through the names the tracer wraps
+assert snap["spans"]["fock.apply_f"][0] > 0, snap
+assert snap["counters"]["fock.apply_f.terms_out"] > 0, snap
+assert snap["spans"]["laurent.mul"][0] > 0, snap
 print("ok")
 """
 

@@ -262,7 +262,16 @@ class TestColumnStore:
 			store = cb._STORE[block.h, policy][0]
 			assert m.cols
 			for mu in m.cols:
-				assert m.columns[mu] is store[mu].terms
+				assert m.columns[mu] is store[mu]
+
+	def test_store_checks_the_coefficient_bound(self, clean_store, monkeypatch):
+		# with the bound lowered to 1, the first coefficient 2 the store
+		# meets is refused, and nothing half-built stays behind
+		monkeypatch.setattr(cb, "COEFF_BOUND", 1)
+		with pytest.raises(pt.InvariantError, match=r"^h=5 core=\(\) w=3, column \(5,5,4,1\): "
+				r"coefficient 2\*q\^2 at \(9, 5, 1\) exceeds the bound 1$"):
+			cb.canonical_basis(pt.BlockId(5, (), 3))
+		assert None not in cb._STORE[5, "smallest"][0].values()
 
 	def test_leak_check_runs_on_stored_columns(self, clean_store):
 		# a column already in the store is checked against the block that
@@ -270,8 +279,7 @@ class TestColumnStore:
 		block = pt.BlockId(5, (1,), 2)
 		mu = cb.canonical_basis(block).cols[0]
 		cb._CACHE.clear()
-		vec = cb._STORE[5, "smallest"][0][mu]
-		vec.terms[(99,)] = ONE
+		cb._STORE[5, "smallest"][0][mu][(99,)] = ONE
 		with pytest.raises(pt.InvariantError,
 				match=r"^h=5 core=\(1\) w=2, column \(5,3,2,1\): leaks outside the block at \(99,\)$"):
 			cb.canonical_basis(block)

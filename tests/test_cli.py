@@ -287,6 +287,13 @@ def test_verify_pair_no_addable_is_usage_error(capsys):
 	assert "no addable" in err
 
 
+def test_verify_pair_residue_out_of_range(capsys):
+	code, _, err = run(capsys, "verify-pair", "--h", "5",
+		"--source-core", "(1)", "--i", "9")
+	assert code == 1
+	assert err == "error: residue 9 out of range 0..2 for h=5\n"
+
+
 def test_predict_spin_json(capsys):
 	code, out, _ = run(capsys, "predict-spin", "--h", "7",
 		"--core", "(4,2)", "--weight", "1", "--format", "json")

@@ -215,10 +215,13 @@ class TestNodeSetsOfTargets:
 			monkeypatch.setattr(pt, name,
 				lambda *args, real=real: calls.append(args) or real(*args))
 		fock._image.cache_clear()
-		cases = [((5, 4), 0, 1, 5, True), ((6, 4, 1), 0, 2, 5, False),
-			((9, 6, 3, 1), 1, 3, 7, True), ((), 2, 4, 5, False)]
-		for lam, i, k, h, raising in cases:
+		# the one exception: lam has fewer than k nodes of the moving kind,
+		# and the first walk alone shows that its image is empty
+		cases = [((5, 4), 0, 1, 5, True, 2), ((6, 4, 1), 0, 2, 5, False, 2),
+			((9, 6, 3, 1), 1, 3, 7, True, 1), ((), 2, 4, 5, False, 1)]
+		for lam, i, k, h, raising, walks in cases:
 			del calls[:]
-			fock._image(lam, i, k, h, raising)
-			assert len(calls) == 2 and {args[0] for args in calls} == {lam}
+			image = fock._image(lam, i, k, h, raising)
+			assert len(calls) == walks and {args[0] for args in calls} == {lam}
+			assert (image == ()) == (walks == 1), (lam, i, k)
 		fock._image.cache_clear()

@@ -1,11 +1,17 @@
 """Exact Laurent-polynomial arithmetic."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, strategies as st
 
+import barfock.partitions as pt
 from barfock.laurent import (
-	Laurent, ZERO, ONE, q_power, parse, exact_div, symmetric_correction,
-	_q_i_exponent,
+	Laurent, ZERO, ONE, COEFF_BOUND, q_power, parse, exact_div,
+	symmetric_correction, _q_i_exponent,
 )
 
 Q = q_power(1)
@@ -143,3 +149,125 @@ class TestQuantumIntegers:
 	@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2))
 	def test_eval_at_one(self, k, i):
 		assert quantum_integer(k, i, 5).eval_at_one() == k
+
+
+# ---- the packed form against a plain dict exponent -> coefficient ----
+
+def ref_clean(a):
+	return {e: v for e, v in a.items() if v}
+
+
+def ref_add(a, b):
+	c = dict(a)
+	for e, v in b.items():
+		c[e] = c.get(e, 0) + v
+	return ref_clean(c)
+
+
+def ref_mul(a, b):
+	c = {}
+	for e1, v1 in a.items():
+		for e2, v2 in b.items():
+			c[e1 + e2] = c.get(e1 + e2, 0) + v1 * v2
+	return ref_clean(c)
+
+
+def ref_symmetric(a):
+	c = {}
+	for e, v in a.items():
+		if e <= 0:
+			c[e] = c[-e] = v
+	return ref_clean(c)
+
+
+def ref_str(a):
+	out = ""
+	for k, (e, v) in enumerate(sorted(ref_clean(a).items())):
+		qpart = "" if e == 0 else "q" if e == 1 else "q^%d" % e
+		mag = abs(v)
+		body = str(mag) if not qpart else qpart if mag == 1 else "%d*%s" % (mag, qpart)
+		out += ("-" if v < 0 else "") if k == 0 else (" - " if v < 0 else " + ")
+		out += body
+	return out or "0"
+
+
+def as_map(f):
+	return dict(f.items())
+
+
+# exponents far enough apart that a value spans more than 64 digits, and
+# coefficients anywhere up to the bound, its edges included
+edge = st.sampled_from([COEFF_BOUND, -COEFF_BOUND, COEFF_BOUND - 1, 1, -1])
+maps = st.dictionaries(st.integers(min_value=-90, max_value=90),
+	st.one_of(edge, st.integers(min_value=-COEFF_BOUND, max_value=COEFF_BOUND)),
+	max_size=7)
+half_maps = st.dictionaries(st.integers(min_value=-90, max_value=90),
+	st.integers(min_value=-COEFF_BOUND // 2, max_value=COEFF_BOUND // 2), max_size=7)
+
+
+class TestPackedAgainstDicts:
+	@given(maps, maps, st.integers(min_value=-100, max_value=100))
+	def test_operations(self, a, b, m):
+		fa, fb = Laurent(a), Laurent(b)
+		assert as_map(fa) == ref_clean(a)
+		assert as_map(fa + fb) == ref_add(a, b)
+		assert as_map(fa - fb) == ref_add(a, {e: -v for e, v in b.items()})
+		assert as_map(fa * fb) == ref_mul(a, b)
+		assert as_map(fa.shift(m)) == {e + m: v for e, v in ref_clean(a).items()}
+		assert as_map(fa.bar()) == {-e: v for e, v in ref_clean(a).items()}
+		assert as_map(symmetric_correction(fa)) == ref_symmetric(a)
+		assert fa.divisible_by_q() == all(e >= 1 for e in ref_clean(a))
+		assert fa.eval_at_one() == sum(a.values())
+		assert fa.height() == max(map(abs, a.values()), default=0)
+		assert str(fa) == ref_str(a)
+		assert parse(str(fa)) == fa
+
+	@given(half_maps, half_maps)
+	def test_equal_values_are_equal_and_hash_alike(self, a, b):
+		# the packed form is canonical: a sum built two ways is one value
+		want = Laurent(ref_add(a, b))
+		got = Laurent(a) + Laurent(b)
+		assert got == want and hash(got) == hash(want)
+		assert (got == Laurent(ref_add(b, a))) and (got - want) == ZERO
+		assert bool(got) == bool(ref_add(a, b))
+
+	def test_wide_spans_and_bound_edges(self):
+		# 128 coefficients at the bound: a square has coefficients up to
+		# 2^39, and 2^10 of those summed stay exact
+		f = Laurent({e: COEFF_BOUND for e in range(-64, 64)})
+		square = f * f
+		assert square.coefficient(-128) == COEFF_BOUND ** 2
+		assert square.coefficient(-1) == 128 * COEFF_BOUND ** 2
+		assert square.coefficient(127) == 0
+		assert (square * 1024).height() == 1024 * 128 * COEFF_BOUND ** 2
+		g = Laurent({-70: -COEFF_BOUND, 70: COEFF_BOUND})
+		assert as_map(g * g) == {-140: COEFF_BOUND ** 2, 0: -2 * COEFF_BOUND ** 2,
+			140: COEFF_BOUND ** 2}
+		assert g.bar() == -g and (g + g.bar()) == ZERO
+
+	def test_constructor_refuses_coefficients_past_the_bound(self):
+		assert Laurent({5: -COEFF_BOUND}).height() == COEFF_BOUND
+		for bad in ({0: COEFF_BOUND + 1}, {-3: 1, 90: -COEFF_BOUND - 1}):
+			with pytest.raises(pt.InvariantError, match="exceeds the bound"):
+				Laurent(bad)
+		with pytest.raises(pt.InvariantError, match="exceeds the bound"):
+			parse("1 + %d*q^2" % (COEFF_BOUND + 1))
+
+
+def test_bound_survives_optimised_mode():
+	# python -O strips asserts, but not the coefficient bound
+	script = textwrap.dedent("""
+		import barfock.partitions as pt
+		from barfock.laurent import Laurent, COEFF_BOUND
+		assert False, "reached only without -O"
+		try:
+			Laurent({3: -COEFF_BOUND - 1})
+		except pt.InvariantError as e:
+			print(e)
+	""")
+	src = os.path.dirname(os.path.dirname(os.path.abspath(pt.__file__)))
+	proc = subprocess.run([sys.executable, "-O", "-c", script],
+		capture_output=True, text=True, timeout=120,
+		env=dict(os.environ, PYTHONPATH=src))
+	assert proc.returncode == 0, proc.stderr
+	assert proc.stdout == "coefficient -65537 of q^3 exceeds the bound 65536\n"

@@ -219,6 +219,15 @@ def test_node_sets_on_displayed_example():
 	assert content[0] == 15 and content[1] == 13 and content[2] == 7
 
 
+@pytest.mark.parametrize("walk", [pt.addable_i_nodes, pt.removable_i_nodes])
+def test_node_sets_refuse_a_residue_out_of_range(walk):
+	# residues at h=5 are 0..2; an empty partition has no rows to walk
+	for lam in [(1,), (5, 4), ()]:
+		for i in (-1, 3, 9):
+			with pytest.raises(ValueError, match=r"out of range 0\.\.2 for h=5"):
+				walk(lam, i, 5)
+
+
 def test_node_set_shapes():
 	# new rows can only ever be a single node in column 1, residue 0
 	for lam in pt.enumerate_h_strict(9, 5):
