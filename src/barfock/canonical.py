@@ -2,6 +2,8 @@
 
 For each restricted mu, string_top removes all normal i-nodes for the
 first residue that has any, leaving a restricted nu one i-string lower.
+It moves the nodes, as psi does, by partitions.move_nodes, the package's
+one node-move rule, which fock's operators also use.
 The divided power f_i^(k) applied to the already-computed G(nu) gives a
 bar-invariant A(mu) whose coefficient at mu is 1 modulo q, and one
 ascending lex pass straightens it: wherever a coefficient at lam != mu
@@ -74,39 +76,17 @@ def normal_nodes(lam, i, h):
 	return _signature(lam, i, h)[0]
 
 
-def _move_nodes(lam, nodes, h, sign):
-	"""lam with the given (row, col) nodes, ascending by column, added
-	(sign 1) or removed (sign -1).
-
-	Each row's nodes must extend (truncate) it contiguously at its right
-	edge, and the result must be h-strict.  Nodes are added in ascending
-	and removed in descending column order, so each must sit just past
-	(on) its row's current edge.
-	"""
-	verb = "added" if sign > 0 else "removed"
-	lengths = list(lam)
-	for r, c in nodes if sign > 0 else reversed(nodes):
-		if sign > 0 and r == len(lengths) + 1:
-			lengths.append(0)
-		pt.require(1 <= r <= len(lengths), "%s node outside the rows of %r", verb, lam)
-		pt.require(c == lengths[r - 1] + (sign > 0),
-			"%s nodes do not move row %d of %r contiguously", verb, r, lam)
-		lengths[r - 1] += sign
-	mu = tuple(v for v in lengths if v)
-	# one pass over adjacent parts; the validators run only to raise
-	if any(a <= b and (a < b or a % h) for a, b in zip(mu, mu[1:])):
-		mu = pt.check_partition(mu)
-		pt.require(pt.is_h_strict(mu, h), "%s nodes left the h-strict world: %r", verb, mu)
-	return mu
-
-
 def psi(lam, i, h):
 	"""The signature involution: flip the surviving +/- imbalance."""
 	norm, conorm = _signature(lam, i, h)
 	r, s = len(norm), len(conorm)
 	if s >= r:
-		return _move_nodes(lam, conorm[: s - r], h, 1)
-	return _move_nodes(lam, norm[s - r:], h, -1)
+		mu = pt.move_nodes(lam, conorm[: s - r], h, 1)
+	else:
+		mu = pt.move_nodes(lam, norm[s - r:], h, -1)
+	pt.require(mu is not None, "psi_%d: the unmatched nodes of %r do not move "
+		"contiguously to an h-strict partition", i, lam)
+	return mu
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +105,9 @@ def string_top(mu, h, policy="smallest"):
 	for i in order:
 		norm = normal_nodes(mu, i, h)
 		if norm:
-			nu = _move_nodes(mu, norm, h, -1)
+			nu = pt.move_nodes(mu, norm, h, -1)
+			pt.require(nu is not None, "peel step: the normal %d-nodes of %r do not "
+				"move contiguously to an h-strict partition", i, mu)
 			pt.require(pt.is_restricted(nu, h),
 				"peel step left the restricted world: %r -> %r", mu, nu)
 			return nu, i, len(norm)

@@ -100,10 +100,18 @@ def residue(c, h):
 # table per h.  A residue outside 0..n matches no column, so a walk over it
 # finds no nodes, and only an empty result pays for the range check.  They
 # try a row's options farthest first and pass over a row whose edge column
-# has another residue: it keeps its length.  These walks
-# are the one statement of the per-row rule: fock reads the moves of k
-# i-nodes off their output, since every h-strict partition reachable from
-# lam this way lies rowwise between lam and the optimum.
+# has another residue: it keeps its length.
+#
+# The per-row rule is stated here and nowhere else in the package:
+# - the walks below (per-row options, the pointwise optimum) give lam's
+#   addable and removable i-nodes;
+# - move_nodes moves a given set of nodes and accepts the move only if each
+#   row changes contiguously at its right edge and the result is h-strict.
+# Every h-strict partition reachable from lam by moving i-nodes lies rowwise
+# between lam and the optimum, so its moved nodes are a subset of lam's node
+# set: fock finds the targets of f_i^(k) and e_i^(k) as the k-subsets that
+# move_nodes accepts, and canonical's psi and peel move signature nodes
+# through it.
 # ---------------------------------------------------------------------------
 
 _RESIDUE_TABLES = {}
@@ -165,6 +173,28 @@ def addable_i_nodes(lam, i, h):
 		raise _residue_error(i, h)
 	nodes.sort(key=_BY_COLUMN)
 	return nodes
+
+
+def move_nodes(lam, nodes, h, sign):
+	"""lam with the given (row, col) nodes, ascending by column, added
+	(sign 1) or removed (sign -1); None unless each row's nodes extend
+	(truncate) it contiguously at its right edge and the result is h-strict.
+
+	Nodes are added in ascending and removed in descending column order, so
+	each must sit just past (on) its row's current edge; a node may open
+	the row just below the last one.
+	"""
+	lengths = list(lam)
+	for r, c in nodes if sign > 0 else reversed(nodes):
+		if sign > 0 and r == len(lengths) + 1:
+			lengths.append(0)
+		if not 0 < r <= len(lengths) or c != lengths[r - 1] + (sign > 0):
+			return None
+		lengths[r - 1] += sign
+	# emptied rows must be the last ones: 0 repeats, as a multiple of h
+	if any(a <= b and (a < b or a % h) for a, b in zip(lengths, lengths[1:])):
+		return None
+	return tuple(v for v in lengths if v)
 
 
 def h_content(lam, h):
@@ -346,21 +376,22 @@ def gamma(tau, h):
 def enumerate_h_strict(m, h):
 	"""All h-strict partitions of m, lexicographically ascending."""
 	out = []
-
-	def build(remaining, maxpart, acc):
-		if remaining == 0:
-			out.append(tuple(acc))
-			return
-		for a in range(min(remaining, maxpart), 0, -1):
-			if acc and acc[-1] == a and a % h != 0:
-				continue
-			acc.append(a)
-			build(remaining - a, a, acc)
-			acc.pop()
-
-	build(m, m, [])
-	out.sort()
+	_extend_h_strict(out, [], m, m, h)
 	return out
+
+
+def _extend_h_strict(out, acc, remaining, maxpart, h):
+	"""Append acc + tail to out for each h-strict tail of remaining with
+	parts <= maxpart that extends acc; smallest parts first, so lex order."""
+	if remaining == 0:
+		out.append(tuple(acc))
+		return
+	for a in range(1, min(remaining, maxpart) + 1):
+		if acc and acc[-1] == a and a % h != 0:
+			continue
+		acc.append(a)
+		_extend_h_strict(out, acc, remaining - a, a, h)
+		acc.pop()
 
 
 def enumerate_cores(h, max_size):

@@ -362,8 +362,39 @@ def test_psi_checks_survive_optimised_mode():
 	assert proc.returncode == 0, proc.stderr
 	assert proc.stdout.splitlines() == [
 		"addable and removable 0-nodes share a column on (5, 4, 2, 1)",
-		"added nodes do not move row 1 of (5, 4, 2, 1) contiguously",
+		"psi_0: the unmatched nodes of (5, 4, 2, 1) do not move contiguously "
+		"to an h-strict partition",
 	]
+
+
+def test_oracle_images_and_enumeration_leave_no_cyclic_garbage():
+	# with the collector off, a result that sits in a reference cycle is
+	# never freed; each step below must leave nothing for gc.collect()
+	script = textwrap.dedent("""
+		import gc
+		gc.disable()
+		import barfock.canonical as cb
+		import barfock.fock as fock
+		import barfock.partitions as pt
+		gc.collect()
+		vec = fock.FockVector.basis(5, (7, 5, 1))  # outside the block below
+		steps = (
+			("cold oracle", lambda: cb.canonical_basis(pt.BlockId(5, (1,), 2))),
+			("f image miss", lambda: fock.apply_f(vec, 0, 1)),
+			("e image miss", lambda: fock.apply_e(vec, 0, 1)),
+			("enumeration", lambda: pt.enumerate_h_strict(20, 3)),
+		)
+		for name, step in steps:
+			assert step()
+			print(name, gc.collect())
+	""")
+	src = os.path.dirname(os.path.dirname(os.path.abspath(cb.__file__)))
+	proc = subprocess.run([sys.executable, "-c", script],
+		capture_output=True, text=True, timeout=120,
+		env=dict(os.environ, PYTHONPATH=src))
+	assert proc.returncode == 0, proc.stderr
+	assert proc.stdout.splitlines() == [
+		"cold oracle 0", "f image miss 0", "e image miss 0", "enumeration 0"]
 
 
 class TestRenderings:

@@ -131,6 +131,11 @@ class TestVectorBasics:
 		b = vec(5, ((6, 3), "1"), ((5, 4), "q"))
 		assert b.support() == [(5, 4), (6, 3)]
 
+	@pytest.mark.parametrize("lam", [(0,), (1, 2), (2, 2), (3, -1), (1.0,)])
+	def test_constructor_rejects_non_h_strict_keys(self, lam):
+		with pytest.raises(ValueError):
+			fock.FockVector(5, {lam: 1})
+
 	def test_json_rendering(self):
 		b = vec(5, ((6, 3), "q^2"))
 		obj = b.to_json_obj()
@@ -225,3 +230,41 @@ class TestNodeSetsOfTargets:
 			assert len(calls) == walks and {args[0] for args in calls} == {lam}
 			assert (image == ()) == (walks == 1), (lam, i, k)
 		fock._image.cache_clear()
+
+
+def skew_columns(small, big):
+	"""The columns of big's nodes outside small, row by row, or None unless
+	small lies inside big."""
+	if len(small) > len(big) or any(a > b for a, b in zip(small, big)):
+		return None
+	padded = small + (0,) * (len(big) - len(small))
+	return [c for a, b in zip(padded, big) for c in range(a + 1, b + 1)]
+
+
+@pytest.mark.parametrize("h", sorted(BOUNDS))
+def test_image_support_is_every_i_skew_partition(h):
+	# every k up to one past lam's nodes of the moving kind (golden_fe pins
+	# k <= 3 only): f_i^(k) lam reaches exactly the h-strict mu of size
+	# |lam| + k containing lam with only i-nodes outside it, e_i^(k) lam the
+	# h-strict mu of size |lam| - k inside lam with only i-nodes outside mu
+	by_size = {}
+
+	def sized(m):
+		if m not in by_size:
+			by_size[m] = pt.enumerate_h_strict(m, h) if m >= 0 else []
+		return by_size[m]
+
+	for m in range(BOUNDS[h] + 1):
+		for lam in sized(m):
+			for raising, sign in ((True, 1), (False, -1)):
+				moving = pt.addable_i_nodes if raising else pt.removable_i_nodes
+				skews = {}  # mu -> residues of its skew nodes against lam
+				for i in range(pt.n_of(h) + 1):
+					for k in range(1, len(moving(lam, i, h)) + 2):
+						for mu in sized(m + sign * k):
+							if mu not in skews:
+								cols = skew_columns(*((lam, mu) if raising else (mu, lam)))
+								skews[mu] = cols and {pt.residue(c, h) for c in cols}
+						want = {mu for mu in sized(m + sign * k) if skews[mu] == {i}}
+						got = {mu for mu, _ in fock._image(lam, i, k, h, raising)}
+						assert got == want, (lam, i, k, raising)

@@ -397,3 +397,16 @@ def test_h_strict_closure_under_core(lam, h):
 	assert pt.is_h_strict(core, h)
 	assert pt.is_core(core, h)
 	assert pt.bar_core(core, h) == core
+
+
+def test_move_nodes_accepts_only_contiguous_h_strict_moves():
+	assert pt.move_nodes((5, 4), [(3, 1), (2, 5), (1, 6)], 5, 1) == (6, 5, 1)
+	assert pt.move_nodes((6, 5, 1), [(3, 1), (2, 5), (1, 6)], 5, -1) == (5, 4)
+	assert pt.move_nodes((5, 4), [(1, 7)], 5, 1) is None  # skips column 6
+	assert pt.move_nodes((5, 4), [(4, 1)], 5, 1) is None  # skips row 3
+	assert pt.move_nodes((5, 4), [(0, 5)], 5, -1) is None
+	assert pt.move_nodes((4, 3), [(2, 4)], 5, 1) is None  # (4, 4) is not 5-strict
+	assert pt.move_nodes((5, 4), [(1, 5)], 5, -1) is None  # nor is (4, 4)
+	assert pt.move_nodes((3, 2), [(2, 3), (2, 4)], 5, 1) is None  # (3, 4)
+	assert pt.move_nodes((2, 1), [(1, 1), (1, 2)], 5, -1) is None  # emptied row 1
+
