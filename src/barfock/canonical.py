@@ -301,7 +301,7 @@ def canonical_basis(block, peel_policy="smallest"):
 			if lam != mu:
 				pt.require(c.divisible_by_q(),
 					"%s: off-diagonal entry at %r not in qZ[q]", where, lam)
-				pt.require(pt.strictly_dominates(lam, mu),
+				pt.require(pt.dominates(lam, mu),
 					"%s: support fails dominance at %r", where, lam)
 			kept = coeffs.get(c)
 			if kept is None:

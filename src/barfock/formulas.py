@@ -50,11 +50,11 @@ def weight1_chain(tau, h):
 		"weight-1 chain over %r repeats a bar position", tau)
 	entries.sort()
 	chain = [lam for _, lam in entries]
-	for r in range(n):
-		pt.require(pt.compare_dominance(chain[r], chain[r + 1]) == pt.LESS,
-			"weight-1 chain not dominance-sorted over %r", tau)
-		pt.require(pt.is_restricted(chain[r], h),
-			"weight-1 chain member %r is not restricted", chain[r])
+	pt.require(pt.dominance_chain(chain) == chain,
+		"weight-1 chain not dominance-sorted over %r", tau)
+	for lam in chain[:n]:
+		pt.require(pt.is_restricted(lam, h),
+			"weight-1 chain member %r is not restricted", lam)
 	pt.require(not pt.is_restricted(chain[n], h),
 		"top of the weight-1 chain should not be restricted")
 	return chain
@@ -137,66 +137,46 @@ def weight2_profile(lam, block):
 # the special partitions of a weight-2 block
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpecialSet:
-	"""The named members of a weight-2 block; absent ones are None.
+def special_partitions(tau, h):
+	"""The named members of a weight-2 block, as a dict name -> partition
+	in the order xx, shp, nat, flt, ppi, yy; absent ones are left out.
 
 	nat always exists as a partition but is only a canonical-basis label
 	when the core is nonempty (otherwise it is not restricted).
 	"""
-	tau: tuple
-	h: int
-	xx: tuple = None
-	shp: tuple = None
-	nat: tuple = None
-	flt: tuple = None
-	ppi: tuple = None
-	yy: tuple = None
-
-	def named(self):
-		out = {}
-		for name in ("xx", "shp", "nat", "flt", "ppi", "yy"):
-			val = getattr(self, name)
-			if val is not None:
-				out[name] = val
-		return out
-
-
-def special_partitions(tau, h):
 	tau = tuple(tau)
 	n = pt.n_of(h)
 	gam = pt.gamma(tau, h)
 	free = [a for a in range(1, n + 1) if a not in tau and h - a not in tau]
 	pt.require(len(free) == n - gam, "free positions of %r do not number n - gamma", tau)
 
-	xx = shp = flt = yy = None
-	nat = pt.union(tau, (h, h))
-	if gam <= n - 1:
-		a = free[0]
-		shp = pt.union(tau, (h, h - a, a))
+	named = {}
 	if gam <= n - 2:
 		a, b = free[0], free[1]
-		xx = pt.union(tau, (h - a, h - b, b, a))
+		named["xx"] = pt.union(tau, (h - a, h - b, b, a))
+	if gam <= n - 1:
+		a = free[0]
+		named["shp"] = pt.union(tau, (h, h - a, a))
+	named["nat"] = pt.union(tau, (h, h))
 	if gam <= n - 1:
 		c = next(c for c in range(h + 1, 2 * h)
 			if c not in tau and 2 * h - c not in tau)
-		flt = pt.union(tau, (c, 2 * h - c))
+		named["flt"] = pt.union(tau, (c, 2 * h - c))
 	a = next(a for a in sorted(set(tau) | {h}) if a + h not in tau)
-	ppi = pt.subtract(pt.union(tau, (a + h, h)), (a,))
+	named["ppi"] = pt.subtract(pt.union(tau, (a + h, h)), (a,))
 	if gam >= 1:
 		ups = sorted(t + h for t in tau if t + h not in tau)
 		a = ups[0]
 		cand = sorted(t + h for t in list(tau) + [a]
 			if t + h not in tau and t + h > a)
 		b = cand[0]
-		yy = pt.subtract(pt.union(tau, (b, a)), (b - h, a - h))
+		named["yy"] = pt.subtract(pt.union(tau, (b, a)), (b - h, a - h))
 
-	out = SpecialSet(tau=tau, h=h, xx=xx, shp=shp, nat=nat, flt=flt, ppi=ppi, yy=yy)
-	for name, lam in out.named().items():
+	for name, lam in named.items():
 		pt.require(pt.is_h_strict(lam, h), "%s = %r is not h-strict", name, lam)
 		pt.require(pt.bar_core(lam, h) == tau, "%s = %r has the wrong bar core", name, lam)
 		pt.require(pt.size(lam) == pt.size(tau) + 2 * h, "%s = %r has the wrong size", name, lam)
-	return out
+	return named
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +186,17 @@ def special_partitions(tau, h):
 def mu_plus(mu, profiles):
 	"""The least member of the block strictly dominating mu with the same
 	leg spread and colour; profiles maps every member to its profile.  The
-	candidates form a chain; both facts are checked."""
+	candidates form a chain, which is checked; its least element is mu+."""
 	mu = tuple(mu)
 	prof = profiles[mu]
 	cands = [lam for lam, p in profiles.items()
 		if (p.spread, p.colour) == (prof.spread, prof.colour)
 		and pt.strictly_dominates(lam, mu)]
 	pt.require(cands, "no like-shaped partition above %r", mu)
-	for x in cands:
-		for y in cands:
-			pt.require(pt.compare_dominance(x, y) != pt.INCOMPARABLE,
-				"like-shaped partitions above %r do not form a chain", mu)
-	least = [c for c in cands if all(pt.dominates(d, c) for d in cands)]
-	pt.require(len(least) == 1, "no least like-shaped partition above %r", mu)
-	return least[0]
+	chain = pt.dominance_chain(cands)
+	pt.require(chain is not None,
+		"like-shaped partitions above %r do not form a chain", mu)
+	return chain[0]
 
 
 def _between(lam, lo, hi):
@@ -305,7 +282,7 @@ def weight2_matrix(block, with_labels=False):
 	pt.require(block.weight == 2, "weight-2 formula on a weight-%d block", block.weight)
 	members = pt.enumerate_block(block)
 	profiles = {lam: weight2_profile(lam, block) for lam in members}
-	named = special_partitions(block.core, block.h).named()
+	named = special_partitions(block.core, block.h)
 	columns, labels = {}, {}
 	for mu in members:
 		if pt.is_restricted(mu, block.h):

@@ -125,14 +125,9 @@ def _expected_tags(d, shape):
 
 def _dominance_sorted_triple(lams):
 	pt.require(len(lams) == 3, "expected three exceptional partitions, got %d", len(lams))
-	out = []
-	for x in lams:
-		others = [y for y in lams if y != x]
-		rank = sum(1 for y in others if pt.strictly_dominates(x, y))
-		out.append((rank, x))
-	ranks = sorted(r for r, _ in out)
-	pt.require(ranks == [0, 1, 2], "exceptional partitions do not form a chain")
-	return tuple(x for _, x in sorted(out))
+	chain = pt.dominance_chain(lams)
+	pt.require(chain is not None, "exceptional partitions do not form a chain")
+	return tuple(chain)
 
 
 def exceptional_triples(d, w=2):

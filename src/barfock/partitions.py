@@ -12,8 +12,6 @@ Only multiples of h may repeat in an "h-strict" partition, and the
 from dataclasses import dataclass
 from operator import itemgetter
 
-LESS, EQUAL, GREATER, INCOMPARABLE = -1, 0, 1, 2
-
 
 class InvariantError(AssertionError):
 	"""A fact the theory guarantees failed to hold.  Raised explicitly, so
@@ -298,36 +296,35 @@ def is_core(tau, h):
 # orders
 # ---------------------------------------------------------------------------
 
-def compare_dominance(lam, mu):
-	"""Dominance comparison via prefix sums; the partitions must have equal
-	size (anything else is a block-mixing bug)."""
+def dominates(lam, mu):
+	"""lam dominates mu (weakly): no prefix sum of lam falls below mu's.
+
+	The partitions must have equal size (anything else is a block-mixing
+	bug).  Then no padding is needed: a longer partition always falls short
+	at the last row of the shorter one.
+	"""
 	if sum(lam) != sum(mu):
 		raise ValueError("dominance needs equal sizes: %r vs %r" % (lam, mu))
-	seen_less = seen_greater = False
-	acc_l = acc_m = 0
-	for r in range(max(len(lam), len(mu))):
-		acc_l += lam[r] if r < len(lam) else 0
-		acc_m += mu[r] if r < len(mu) else 0
-		if acc_l < acc_m:
-			seen_less = True
-		elif acc_l > acc_m:
-			seen_greater = True
-	if seen_less and seen_greater:
-		return INCOMPARABLE
-	if seen_less:
-		return LESS
-	if seen_greater:
-		return GREATER
-	return EQUAL
-
-
-def dominates(lam, mu):
-	"""lam dominates mu (weakly)."""
-	return compare_dominance(lam, mu) in (GREATER, EQUAL)
+	diff = 0
+	for a, b in zip(lam, mu):
+		diff += a - b
+		if diff < 0:
+			return False
+	return True
 
 
 def strictly_dominates(lam, mu):
-	return compare_dominance(lam, mu) == GREATER
+	return lam != mu and dominates(lam, mu)
+
+
+def dominance_chain(lams):
+	"""lams sorted lex ascending if each strictly dominates the one before
+	it, else None.  Strict dominance implies lex order, so the sorted
+	neighbours decide whether the set is a chain."""
+	chain = sorted(lams)
+	if all(strictly_dominates(b, a) for a, b in zip(chain, chain[1:])):
+		return chain
+	return None
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +427,6 @@ def enumerate_block(block):
 	ascending.  Plain filtering of the size-m generator; the scales this
 	library runs at make anything cleverer pointless."""
 	m = size(block.core) + block.h * block.weight
-	if m == 0:
-		return [()]
 	return [
 		lam for lam in enumerate_h_strict(m, block.h)
 		if bar_core(lam, block.h) == block.core

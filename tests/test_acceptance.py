@@ -468,7 +468,7 @@ def _check_weight2_statistics():
 		dd = {lam: fm.weight2_profile(lam, block).spread for lam in members}
 		for lam in members:
 			for mu in members:
-				if pt.compare_dominance(lam, mu) == pt.INCOMPARABLE:
+				if not pt.dominates(lam, mu) and not pt.dominates(mu, lam):
 					assert abs(dd[lam] - dd[mu]) >= 2, (block, lam, mu)
 		for lam in members:
 			lo, hi = ab.bar_positions(lam, block)

@@ -210,9 +210,8 @@ class TestUnexceptionalTransport:
 				for mu in unex:
 					if abs(dds[lam] - dds[mu]) > 1:
 						continue
-					before = pt.compare_dominance(lam, mu) in (pt.LESS, pt.EQUAL)
-					after = pt.compare_dominance(
-						cb.psi(lam, d.i, d.h), cb.psi(mu, d.i, d.h)) in (pt.LESS, pt.EQUAL)
+					before = pt.dominates(mu, lam)
+					after = pt.dominates(cb.psi(mu, d.i, d.h), cb.psi(lam, d.i, d.h))
 					assert before == after, (d, lam, mu)
 
 	def test_lex_colex_transport(self):
@@ -231,16 +230,16 @@ class TestUnexceptionalTransport:
 							continue
 						if lam > mu:
 							assert lhat > muhat
-						if compare_colex(lam, mu) == pt.LESS:
-							assert compare_colex(lhat, muhat) == pt.LESS
+						if compare_colex(lam, mu) == -1:
+							assert compare_colex(lhat, muhat) == -1
 
 	def test_special_partition_transport(self):
 		for d in pairs_at_scale(max_core=6):
 			n = pt.n_of(d.h)
 			shaped = (d.k == 1 and 1 <= d.i < n) or (d.i == 0 and d.k == 3)
 			trip = pr.exceptional_triples(d) if shaped else None
-			s_named = fm.special_partitions(d.source, d.h).named()
-			t_named = fm.special_partitions(d.target, d.h).named()
+			s_named = fm.special_partitions(d.source, d.h)
+			t_named = fm.special_partitions(d.target, d.h)
 			for name, lam in s_named.items():
 				if name in ("xx", "shp", "nat"):
 					assert pr.is_unexceptional(lam, d, "source"), (d, name)
@@ -331,10 +330,11 @@ class TestTables:
 def test_pair_and_formula_checks_survive_optimised_mode():
 	# python -O strips asserts, but not these checks: a psi that fixes
 	# everything breaks the triples' permutation, a reversed weight-1 chain
-	# breaks the formula's lex order, and a block without ppi leaves the
-	# natural column's clauses without a partition to point at
+	# breaks the formula's lex order, a block without ppi leaves the
+	# natural column's clauses without a partition to point at, and the
+	# incomparable (6,3,3) and (5,5,2) above (4,4,4) are no chain, neither
+	# for mu+ nor as an exceptional triple
 	script = textwrap.dedent("""
-		import dataclasses
 		import barfock.formulas as fm
 		import barfock.pairs as pr
 		import barfock.partitions as pt
@@ -353,9 +353,19 @@ def test_pair_and_formula_checks_survive_optimised_mode():
 			print(e)
 		specials = fm.special_partitions
 		fm.special_partitions = lambda tau, h: \
-			dataclasses.replace(specials(tau, h), ppi=None)
+			{x: lam for x, lam in specials(tau, h).items() if x != "ppi"}
 		try:
 			fm.formula_matrix(pt.BlockId(3, (1,), 2))
+		except pt.InvariantError as e:
+			print(e)
+		lams = [(6, 3, 3), (5, 5, 2), (4, 4, 4)]
+		profiles = {lam: fm.Weight2Profile(lam, (), (), 1, "black") for lam in lams}
+		try:
+			fm.mu_plus((4, 4, 4), profiles)
+		except pt.InvariantError as e:
+			print(e)
+		try:
+			pr._dominance_sorted_triple(lams)
 		except pt.InvariantError as e:
 			print(e)
 	""")
@@ -368,4 +378,6 @@ def test_pair_and_formula_checks_survive_optimised_mode():
 		"signature involution does not permute the triples as expected",
 		"weight-1 chain should already be lex-sorted",
 		"nat column without ppi",
+		"like-shaped partitions above (4, 4, 4) do not form a chain",
+		"exceptional partitions do not form a chain",
 	]

@@ -302,18 +302,55 @@ def compare_colex(lam, mu):
 	b = (0,) * (k - len(mu)) + tuple(mu[::-1])
 	for x, y in zip(a, b):
 		if x != y:
-			return pt.LESS if x > y else pt.GREATER
-	return pt.EQUAL
+			return -1 if x > y else 1
+	return 0
 
 
 class TestOrders:
 	def test_dominance_basics(self):
-		assert pt.compare_dominance((6, 4), (5, 3, 2)) == pt.GREATER
-		assert pt.compare_dominance((5, 3, 2), (6, 4)) == pt.LESS
-		assert pt.compare_dominance((5, 4), (5, 4)) == pt.EQUAL
-		assert pt.compare_dominance((6, 3, 3), (5, 5, 2)) == pt.INCOMPARABLE
+		assert pt.strictly_dominates((6, 4), (5, 3, 2))
+		assert not pt.dominates((5, 3, 2), (6, 4))
+		assert pt.dominates((5, 4), (5, 4))
+		assert not pt.strictly_dominates((5, 4), (5, 4))
+		assert not pt.dominates((6, 3, 3), (5, 5, 2))
+		assert not pt.dominates((5, 5, 2), (6, 3, 3))
 		with pytest.raises(ValueError):
-			pt.compare_dominance((3,), (2,))
+			pt.dominates((3,), (2,))
+
+	def test_dominates_matches_prefix_sums(self):
+		# the walk against the definition on zero-padded prefix sums:
+		# 1,747 ordered pairs over h = 3, 5 and sizes 0..12
+		def by_definition(lam, mu):
+			k = max(len(lam), len(mu))
+			a = itertools.accumulate(tuple(lam) + (0,) * (k - len(lam)))
+			b = itertools.accumulate(tuple(mu) + (0,) * (k - len(mu)))
+			return all(x >= y for x, y in zip(a, b))
+
+		pairs = 0
+		for h in (3, 5):
+			for m in range(0, 13):
+				parts = pt.enumerate_h_strict(m, h)
+				for a in parts:
+					for b in parts:
+						assert pt.dominates(a, b) == by_definition(a, b), (a, b)
+						assert pt.strictly_dominates(a, b) == \
+							(a != b and by_definition(a, b)), (a, b)
+						pairs += 1
+		assert pairs == 1747
+		for lam, mu in [((3,), (2,)), ((), (1,)), ((2, 1), (4,))]:
+			with pytest.raises(ValueError):
+				pt.dominates(lam, mu)
+			with pytest.raises(ValueError):
+				pt.strictly_dominates(lam, mu)
+
+	def test_dominance_chain(self):
+		chain = [(4, 4, 4), (5, 4, 3), (6, 4, 2), (7, 5), (12,)]
+		shuffled = [chain[i] for i in (3, 0, 4, 2, 1)]
+		assert pt.dominance_chain(shuffled) == chain
+		assert pt.dominance_chain([(6, 3, 3), (5, 5, 2)]) is None
+		assert pt.dominance_chain([(5, 4), (6, 3), (5, 4)]) is None
+		assert pt.dominance_chain([]) == []
+		assert pt.dominance_chain([(5, 4)]) == [(5, 4)]
 
 	def test_lex_refines_dominance(self):
 		for m in range(0, 12):
@@ -322,7 +359,7 @@ class TestOrders:
 				for b in parts:
 					if pt.strictly_dominates(a, b):
 						assert a > b
-						assert compare_colex(a, b) == pt.GREATER
+						assert compare_colex(a, b) == 1
 
 	def test_enumeration_is_lex_ascending(self):
 		for h in (3, 5):
@@ -360,6 +397,7 @@ class TestBlockId:
 
 	def test_weight_zero_block(self):
 		assert pt.enumerate_block(pt.BlockId(5, (3, 1), 0)) == [(3, 1)]
+		assert pt.enumerate_block(pt.BlockId(5, (), 0)) == [()]
 
 
 # ------------------------------------------------------------- core facts
