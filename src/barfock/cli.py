@@ -85,7 +85,6 @@ def build_parser():
 	p.add_argument("--h", type=int, required=True)
 	p.add_argument("--core", type=_partition_arg, required=True)
 	p.add_argument("--weight", type=int, required=True)
-	p.add_argument("--max-weight", type=int, default=2)
 	p.add_argument("--provenance", action="store_true",
 		help="annotate entries with the formula clause that produced them")
 	fmt(p)
@@ -165,6 +164,11 @@ def _check_weight(weight, cap):
 			"if you mean it)" % (weight, cap))
 
 
+def _check_formula_weight(weight):
+	if weight not in (0, 1, 2):
+		raise _UsageError("formulas exist for weights 0, 1, 2")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -242,7 +246,7 @@ def cmd_cb(args):
 
 
 def cmd_formula(args):
-	_check_weight(args.weight, args.max_weight)
+	_check_formula_weight(args.weight)
 	block = pt.BlockId(args.h, args.core, args.weight)
 	if args.provenance:
 		mat, labels = formulas.formula_matrix(block, with_labels=True)
@@ -280,8 +284,7 @@ def _cells(mat):
 
 
 def cmd_diff(args):
-	if args.weight not in (0, 1, 2):
-		raise _UsageError("formulas exist for weights 0, 1, 2")
+	_check_formula_weight(args.weight)
 	if args.jobs < 1:
 		raise _UsageError("--jobs must be at least 1, got %d" % args.jobs)
 	if args.max_core_size < 0:

@@ -96,9 +96,6 @@ class FockVector:
 			tt[lam] = tt.get(lam, ZERO) + c
 		return FockVector(self.h, tt)
 
-	def __sub__(self, other):
-		return self + other.scale(-1)
-
 	def scale(self, c):
 		c = c if isinstance(c, Laurent) else Laurent(c)
 		return FockVector(self.h, {lam: v * c for lam, v in self.terms.items()})

@@ -70,7 +70,6 @@ def _weight1(block):
 	"""The weight-1 matrix and its provenance labels."""
 	h = block.h
 	chain = weight1_chain(block.core, h)
-	pt.require(chain == sorted(chain), "weight-1 chain should already be lex-sorted")
 	pt.require(chain == pt.enumerate_block(block),
 		"weight-1 chain misses block members over %r", block.core)
 	columns, labels = {}, {}
@@ -94,43 +93,37 @@ class Weight2Profile:
 	colour: str     # "black" / "white" / "grey"
 
 
-def _leg(c, lam, tau, h):
-	"""Leg length of the bar recorded as c, read off lam and its core."""
-	common = pt.intersect(lam, tau)
-	if c >= h:
-		return pt.count_between(common, c - h, c)
-	pt.require(pt.n_of(h) < c < h, "bar position %d out of range for h=%d", c, h)
-	return (h - c) + pt.count_between(common, h - c, c)
+def _leg(c, common, length):
+	"""Leg length of the bar of the given length recorded as c, read off
+	the parts common to the partition and its core."""
+	if c >= length:
+		return pt.count_between(common, c - length, c)
+	pt.require(length // 2 < c < length,
+		"bar position %d out of range for a %d-bar", c, length)
+	return (length - c) + pt.count_between(common, length - c, c)
 
 
-def _colour(lam, tau, h, bars, legs):
+def _colour(bars, legs, spread, common, h, gam):
 	a, b = bars
-	gam = pt.gamma(tau, h)
-	spread = abs(legs[0] - legs[1])
-	if spread >= 2:
+	if spread >= 2 or (spread == 1 and b > h):
 		return "grey"
-	if spread == 1:
-		if b > h:
-			return "grey"
-		low = min(legs)
-		return "black" if (low + gam) % 2 == 1 else "white"
-	# spread 0: either one 2h-bar in two steps, or two h-bars
-	if b == a + h or (a < b and a + b == 2 * h):
-		if b >= 2 * h:
-			ell = pt.count_between(pt.intersect(lam, tau), b - 2 * h, b)
-		else:
-			ell = (2 * h - b) + pt.count_between(pt.intersect(lam, tau), 2 * h - b, b)
-		return "black" if (ell + 2 * gam) % 4 in (0, 3) else "white"
-	ell = legs[0]
-	return "black" if (ell + gam) % 2 == 1 else "white"
+	if spread == 0 and (b == a + h or (a < b and a + b == 2 * h)):
+		# one 2h-bar, removed in two steps
+		black = (_leg(b, common, 2 * h) + 2 * gam) % 4 in (0, 3)
+	else:
+		black = (legs[0] + gam) % 2 == 1
+	return "black" if black else "white"
 
 
 def weight2_profile(lam, block):
 	lam = tuple(lam)
+	h, core = block.h, block.core
 	bars = abacus.bar_positions(lam, block)
-	legs = tuple(sorted(_leg(c, lam, block.core, block.h) for c in bars))
-	return Weight2Profile(lam, bars, legs, abs(legs[0] - legs[1]),
-		_colour(lam, block.core, block.h, bars, legs))
+	common = pt.intersect(lam, core)
+	legs = tuple(sorted(_leg(c, common, h) for c in bars))
+	spread = legs[1] - legs[0]
+	return Weight2Profile(lam, bars, legs, spread,
+		_colour(bars, legs, spread, common, h, pt.gamma(core, h)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ A core with k >= 1 addable i-nodes (it then has no removable ones) sits
 below its partner core obtained by adding them all.  For each such pair,
 either every block member is unexceptional and the two decomposition
 matrices agree under the signature involution, or -- at weight 2, for the
-two interesting shapes -- exactly three exceptional partitions appear on
-each side, with completely explicit operator identities and a short list
-of admissible column patterns tying the two matrices together.  verify_pair
+two interesting shapes, 2-1 (k = 1, 0 < i < n) and 2-3 (k = 3, i = 0) --
+exactly three exceptional partitions appear on each side, with completely
+explicit operator identities and a short list of admissible column
+patterns tying the two matrices together.  Each shape's statements are one
+record in SHAPES, and _pair_shape is the one place that picks it; the
+abacus tags of the triples depend on the pair's kind alone.  verify_pair
 takes each block's members from the rows of the block's oracle matrix and
 computes the involution image of each source member once, and every check
 that transports an entry or a partition reads it from there; it sorts the
@@ -75,6 +78,80 @@ def is_unexceptional(lam, d, side):
 
 
 # ---------------------------------------------------------------------------
+# the supported shapes
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PairShape:
+	"""What the paper states for one shape of pair, on the exceptional
+	triples alpha < beta < gamma and alpha^ < beta^ < gamma^."""
+	f_images: tuple   # f_i^(k) of alpha, beta, gamma, on (alpha^, beta^, gamma^)
+	e_images: tuple   # the coefficient of delta in e_i of alpha, beta, gamma
+	bottom: tuple     # G(alpha) on (alpha, beta, gamma), which is also f_i delta
+	table: tuple      # admissible (source, target) column patterns on the triples
+	forbidden: tuple  # source column patterns that never occur
+
+
+def _parse(spec):
+	"""Laurent polynomials from nested tuples of their texts."""
+	return L(spec) if isinstance(spec, str) else tuple(_parse(x) for x in spec)
+
+
+SHAPES = {
+	"21": PairShape(
+		f_images=_parse((("q^-2", "1", "0"), ("1", "0", "1"), ("0", "1", "q^2"))),
+		e_images=_parse(("q^-4", "q^-2", "1")),
+		bottom=_parse(("1", "q^2", "q^4")),
+		table=_parse((
+			(("0", "0", "0"), ("0", "0", "0")),
+			(("0", "0", "1"), ("0", "1", "q^2")),
+			(("0", "1", "q^2"), ("0", "0", "1")),
+			(("0", "q^2", "0"), ("q^2", "0", "q^2")),
+			(("1", "q^2", "q^4"), ("1", "q^2", "q^4")),
+			(("q^2", "0", "q^2"), ("0", "q^2", "0")),
+			(("q^2", "q^4", "0"), ("q^4", "0", "0")),
+			(("q^4", "0", "0"), ("q^2", "q^4", "0")),
+			(("0", "q^3 + q", "0"), ("q^3 + q", "0", "q^3 + q")),
+			(("q^2", "q^4 + q^2", "0"), ("q^4 + q^2", "0", "q^2")),
+			(("q^3 + q", "q^5 + q^3", "0"), ("q^5 + q^3", "0", "0")),
+			(("q^3 + q", "0", "q^3 + q"), ("0", "q^3 + q", "0")),
+		)),
+		forbidden=_parse((("0", "q", "0"), ("q", "0", "q"),
+			("q^2", "q^3", "0"), ("q^3 + q", "q^2", "q^2"))),
+	),
+	"23": PairShape(
+		f_images=_parse((("q^-3", "q^-1", "0"), ("1 + q^-2", "1", "q^2 + 1"),
+			("1", "q^2 + 1", "q^4 + q^2"))),
+		e_images=_parse(("q^-4", "q^-1 + q^-3", "q + q^-1")),
+		bottom=_parse(("1", "q", "q^3")),
+		table=_parse((
+			(("0", "0", "0"), ("0", "0", "0")),
+			(("0", "0", "1"), ("0", "1", "q^2")),
+			(("0", "1", "q^2"), ("0", "0", "1")),
+			(("0", "q^2", "0"), ("q^2", "0", "q^2")),
+			(("1", "q", "q^3"), ("1", "q^2", "q^4")),
+			(("q^2", "0", "q"), ("0", "q", "0")),
+			(("q^2", "q^3", "0"), ("q^3", "0", "0")),
+			(("q^4", "0", "0"), ("q", "q^3", "0")),
+			(("0", "q^3 + q", "0"), ("q^3 + q", "0", "q^3 + q")),
+			(("q^3 + q", "q^2", "q^2"), ("q^2", "q^2", "0")),
+		)),
+		forbidden=_parse((("q^2", "q^4 + q^2", "0"), ("q^3 + q", "0", "q^3 + q"),
+			("q^3 + q", "q^5 + q^3", "0"))),
+	),
+}
+
+
+def _pair_shape(d, w):
+	"""The record of d's shape at weight w, or None if it has none."""
+	if w == 2 and d.k == 1 and 1 <= d.i < pt.n_of(d.h):
+		return SHAPES["21"]
+	if w == 2 and d.k == 3 and d.i == 0:
+		return SHAPES["23"]
+	return None
+
+
+# ---------------------------------------------------------------------------
 # exceptional triples
 # ---------------------------------------------------------------------------
 
@@ -94,33 +171,16 @@ class ExceptionalTriples:
 		return (self.alpha_hat, self.beta_hat, self.gamma_hat)
 
 
-def _pair_shape(d, w):
-	"""'21' / '23' for the supported shapes, None otherwise."""
-	if w == 2 and d.k == 1 and 1 <= d.i < pt.n_of(d.h):
-		return "21"
-	if w == 2 and d.k == 3 and d.i == 0:
-		return "23"
-	return None
-
-
-def _expected_tags(d, shape):
+def _expected_tags(d):
+	"""The abacus tags of (alpha, beta, gamma) and (alpha^, beta^, gamma^)."""
 	i = d.i
-	pair = abacus.pair_tag
-	single = abacus.single_tag
-	if shape == "23":
-		return (
-			(single(1), pair(0, 1), single(0)),
-			(single(0), pair(0, 1), single(-1)),
-		)
-	table = {
-		"A": ((single(-i), pair(i, i + 1), single(i + 1)),
-			(single(i), pair(i, i + 1), single(-i - 1))),
-		"B": ((pair(i, i + 1), single(-i), single(i + 1)),
-			(single(i), single(-i - 1), pair(i, i + 1))),
-		"C": ((single(i + 1), pair(i, i + 1), single(-i)),
-			(single(-i - 1), pair(i, i + 1), single(i))),
-	}
-	return table[d.kind]
+	pair, single = abacus.pair_tag(i, i + 1), abacus.single_tag
+	return {
+		"A": ((single(-i), pair, single(i + 1)), (single(i), pair, single(-i - 1))),
+		"B": ((pair, single(-i), single(i + 1)), (single(i), single(-i - 1), pair)),
+		"C": ((single(i + 1), pair, single(-i)), (single(-i - 1), pair, single(i))),
+		"zero-residue": ((single(1), pair, single(0)), (single(0), pair, single(-1))),
+	}[d.kind]
 
 
 def _dominance_sorted_triple(lams):
@@ -131,8 +191,7 @@ def _dominance_sorted_triple(lams):
 
 
 def exceptional_triples(d, w=2):
-	shape = _pair_shape(d, w)
-	if shape is None:
+	if _pair_shape(d, w) is None:
 		raise ValueError("exceptional triples exist only for weight-2 pairs "
 			"with k=1 and 0<i<n, or k=3 and i=0")
 	sblock = pt.BlockId(d.h, d.source, w)
@@ -141,10 +200,10 @@ def exceptional_triples(d, w=2):
 		if not is_unexceptional(lam, d, "source")]
 	exc_t = [lam for lam in pt.enumerate_block(tblock)
 		if not is_unexceptional(lam, d, "target")]
-	return _exceptional_triples(d, shape, sblock, tblock, exc_s, exc_t)
+	return _exceptional_triples(d, sblock, tblock, exc_s, exc_t)
 
 
-def _exceptional_triples(d, shape, sblock, tblock, exc_s, exc_t):
+def _exceptional_triples(d, sblock, tblock, exc_s, exc_t):
 	"""The triples, from the exceptional members of both blocks."""
 	h = d.h
 	pt.require(len(exc_s) == 3 and len(exc_t) == 3,
@@ -152,7 +211,7 @@ def _exceptional_triples(d, shape, sblock, tblock, exc_s, exc_t):
 		len(exc_s), len(exc_t))
 	a, b, g = _dominance_sorted_triple(exc_s)
 	ah, bh, gh = _dominance_sorted_triple(exc_t)
-	src_tags, tgt_tags = _expected_tags(d, shape)
+	src_tags, tgt_tags = _expected_tags(d)
 	got_src = tuple(abacus.abacus_notation(x, sblock) for x in (a, b, g))
 	got_tgt = tuple(abacus.abacus_notation(x, tblock) for x in (ah, bh, gh))
 	pt.require(got_src == src_tags,
@@ -162,58 +221,6 @@ def _exceptional_triples(d, shape, sblock, tblock, exc_s, exc_t):
 	pt.require(psi(a, d.i, h) == ah and psi(b, d.i, h) == gh and psi(g, d.i, h) == bh,
 		"signature involution does not permute the triples as expected")
 	return ExceptionalTriples(a, b, g, ah, bh, gh)
-
-
-# ---------------------------------------------------------------------------
-# the admissible column patterns
-# ---------------------------------------------------------------------------
-
-def _rows(*specs):
-	return tuple(
-		(tuple(L(s) for s in left), tuple(L(s) for s in right))
-		for left, right in specs
-	)
-
-
-TABLE_21 = _rows(
-	(("0", "0", "0"), ("0", "0", "0")),
-	(("0", "0", "1"), ("0", "1", "q^2")),
-	(("0", "1", "q^2"), ("0", "0", "1")),
-	(("0", "q^2", "0"), ("q^2", "0", "q^2")),
-	(("1", "q^2", "q^4"), ("1", "q^2", "q^4")),
-	(("q^2", "0", "q^2"), ("0", "q^2", "0")),
-	(("q^2", "q^4", "0"), ("q^4", "0", "0")),
-	(("q^4", "0", "0"), ("q^2", "q^4", "0")),
-	(("0", "q^3 + q", "0"), ("q^3 + q", "0", "q^3 + q")),
-	(("q^2", "q^4 + q^2", "0"), ("q^4 + q^2", "0", "q^2")),
-	(("q^3 + q", "q^5 + q^3", "0"), ("q^5 + q^3", "0", "0")),
-	(("q^3 + q", "0", "q^3 + q"), ("0", "q^3 + q", "0")),
-)
-
-FORBIDDEN_21 = tuple(
-	tuple(L(s) for s in row)
-	for row in (("0", "q", "0"), ("q", "0", "q"),
-		("q^2", "q^3", "0"), ("q^3 + q", "q^2", "q^2"))
-)
-
-TABLE_23 = _rows(
-	(("0", "0", "0"), ("0", "0", "0")),
-	(("0", "0", "1"), ("0", "1", "q^2")),
-	(("0", "1", "q^2"), ("0", "0", "1")),
-	(("0", "q^2", "0"), ("q^2", "0", "q^2")),
-	(("1", "q", "q^3"), ("1", "q^2", "q^4")),
-	(("q^2", "0", "q"), ("0", "q", "0")),
-	(("q^2", "q^3", "0"), ("q^3", "0", "0")),
-	(("q^4", "0", "0"), ("q", "q^3", "0")),
-	(("0", "q^3 + q", "0"), ("q^3 + q", "0", "q^3 + q")),
-	(("q^3 + q", "q^2", "q^2"), ("q^2", "q^2", "0")),
-)
-
-FORBIDDEN_23 = tuple(
-	tuple(L(s) for s in row)
-	for row in (("q^2", "q^4 + q^2", "0"), ("q^3 + q", "0", "q^3 + q"),
-		("q^3 + q", "q^5 + q^3", "0"))
-)
 
 
 # ---------------------------------------------------------------------------
@@ -256,65 +263,37 @@ class PairReport:
 		}
 
 
-def _f_identity_checks(report, d, tr, w):
+def _identity_checks(report, d, tr, shape):
 	"""The explicit operator identities on the exceptional triples."""
 	h, i = d.h, d.i
 	basis = lambda lam: fock.FockVector.basis(h, lam)
-	shape = _pair_shape(d, w)
-	a, b, g = tr.source()
-	ah, bh, gh = tr.target()
-	if shape == "21":
-		expect = [
-			(a, {ah: L("q^-2"), bh: L("1")}),
-			(b, {ah: L("1"), gh: L("1")}),
-			(g, {bh: L("1"), gh: L("q^2")}),
-		]
-	else:
-		expect = [
-			(a, {ah: L("q^-3"), bh: L("q^-1")}),
-			(b, {ah: L("1 + q^-2"), bh: L("1"), gh: L("q^2 + 1")}),
-			(g, {ah: L("1"), bh: L("q^2 + 1"), gh: L("q^4 + q^2")}),
-		]
-	ok = True
 	detail = ""
-	for lam, want in expect:
+	for lam, row in zip(tr.source(), shape.f_images):
 		got = fock.apply_f(basis(lam), i, d.k)
-		if got != fock.FockVector(h, want):
-			ok = False
+		if got != fock.FockVector(h, dict(zip(tr.target(), row))):
 			detail = "f-image of %s is %s" % (pt.partition_str(lam), got)
 			break
-	report.add("exceptional-f-identities", ok, detail)
+	report.add("exceptional-f-identities", not detail, detail)
 
 	# the e-side: removing the unique removable i-node of any of alpha,
 	# beta, gamma lands on one core partition delta, and f_i resurrects
 	# the whole triple from it
-	deltas = set()
-	for lam in tr.source():
-		down = fock.apply_e(basis(lam), i, 1)
-		deltas.update(down.support())
-	if shape == "21":
-		e_coeffs = {a: L("q^-4"), b: L("q^-2"), g: L("1")}
-		f_back = {a: L("1"), b: L("q^2"), g: L("q^4")}
+	downs = [fock.apply_e(basis(lam), i, 1) for lam in tr.source()]
+	deltas = {mu for down in downs for mu in down.support()}
+	detail = ""
+	if len(deltas) != 1:
+		detail = "no single source below the triple: %s" % (sorted(deltas),)
 	else:
-		e_coeffs = {a: L("q^-4"), b: L("q^-1 + q^-3"), g: L("q + q^-1")}
-		f_back = {a: L("1"), b: L("q"), g: L("q^3")}
-	ok = len(deltas) == 1
-	detail = "" if ok else "no single source below the triple: %s" % (sorted(deltas),)
-	if ok:
-		delta = next(iter(deltas))
-		for lam, c in e_coeffs.items():
-			got = fock.apply_e(basis(lam), i, 1)
+		delta, = deltas
+		for lam, got, c in zip(tr.source(), downs, shape.e_images):
 			if got != fock.FockVector(h, {delta: c}):
-				ok = False
 				detail = "e-image of %s is %s" % (pt.partition_str(lam), got)
 				break
-		if ok:
+		else:
 			got = fock.apply_f(basis(delta), i, 1)
-			want = fock.FockVector(h, {lam: c for lam, c in f_back.items()})
-			if got != want:
-				ok = False
+			if got != fock.FockVector(h, dict(zip(tr.source(), shape.bottom))):
 				detail = "f-image of the partition below the triple is %s" % got
-	report.add("exceptional-e-identities", ok, detail)
+	report.add("exceptional-e-identities", not detail, detail)
 
 
 def _transport_failure(ms, mt, images, rows, mu):
@@ -328,14 +307,12 @@ def _transport_failure(ms, mt, images, rows, mu):
 
 
 def _column_pattern_failure(ms, mt, tr, images, unex, shape, h):
-	"""What breaks the pattern tables first, or '' if every column fits."""
-	table = TABLE_21 if shape == "21" else TABLE_23
-	forbidden = FORBIDDEN_21 if shape == "21" else FORBIDDEN_23
+	"""What breaks the shape's pattern table first, or '' if every column fits."""
 	for mu in ms.cols:
 		left = tuple(ms.entry(x, mu) for x in tr.source())
-		if left in forbidden:
+		if left in shape.forbidden:
 			return "forbidden pattern at column %s" % pt.partition_str(mu)
-		rights = [r for l, r in table if l == left]
+		rights = [r for l, r in shape.table if l == left]
 		if not rights:
 			return "unlisted pattern at column %s: %s" % (
 				pt.partition_str(mu), [str(v) for v in left])
@@ -408,16 +385,14 @@ def verify_pair(d, w=2):
 			"at weight %d, residue %d, k=%d" % (len(exc_s), w, i, d.k))
 		return report
 
-	tr = _exceptional_triples(d, shape, sblock, tblock, exc_s, exc_t)
+	tr = _exceptional_triples(d, sblock, tblock, exc_s, exc_t)
 	report.add("exceptional-triples", True, "")
 
-	_f_identity_checks(report, d, tr, w)
+	_identity_checks(report, d, tr, shape)
 
-	# canonical-basis columns at the bottom exceptional partition
-	want_a = {("21"): ("1", "q^2", "q^4"), ("23"): ("1", "q", "q^3")}[shape]
+	# canonical-basis columns at the bottom exceptional partitions
 	col_a = ms.column(tr.alpha)
-	ok = col_a == fock.FockVector(h, {
-		tr.alpha: L(want_a[0]), tr.beta: L(want_a[1]), tr.gamma: L(want_a[2])})
+	ok = col_a == fock.FockVector(h, dict(zip(tr.source(), shape.bottom)))
 	report.add("exceptional-column-source", ok,
 		"" if ok else "G at the source triple bottom is %s" % col_a)
 	col_ah = mt.column(tr.alpha_hat)

@@ -126,8 +126,9 @@ def test_formula_provenance_csv_is_usage_error(capsys):
 
 def test_formula_weight3_is_usage_error(capsys):
 	code, _, err = run(capsys, "formula", "--h", "5", "--core", "()",
-		"--weight", "3", "--max-weight", "3")
+		"--weight", "3")
 	assert code == 1
+	assert "formulas exist for weights 0, 1, 2" in err
 
 
 def test_diff_agreement(capsys):

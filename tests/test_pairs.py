@@ -1,5 +1,6 @@
 """Block pairs under psi_i: detection, exceptional structure, verification."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import barfock.partitions as pt
 import barfock.canonical as cb
 import barfock.formulas as fm
 import barfock.pairs as pr
+from barfock.laurent import parse as L
 
 from test_partitions import compare_colex
 
@@ -317,20 +319,58 @@ class TestVerifyPair:
 
 class TestTables:
 	def test_shapes(self):
-		assert len(pr.TABLE_21) == 12 and len(pr.FORBIDDEN_21) == 4
-		assert len(pr.TABLE_23) == 10 and len(pr.FORBIDDEN_23) == 3
+		assert len(pr.SHAPES["21"].table) == 12 and len(pr.SHAPES["21"].forbidden) == 4
+		assert len(pr.SHAPES["23"].table) == 10 and len(pr.SHAPES["23"].forbidden) == 3
 
 	def test_forbidden_disjoint_from_allowed(self):
-		lefts21 = {row[0] for row in pr.TABLE_21}
-		assert not (set(pr.FORBIDDEN_21) & lefts21)
-		lefts23 = {row[0] for row in pr.TABLE_23}
-		assert not (set(pr.FORBIDDEN_23) & lefts23)
+		for shape in pr.SHAPES.values():
+			lefts = {row[0] for row in shape.table}
+			assert not (set(shape.forbidden) & lefts)
+
+
+# one pair of each shape: the type-A pair over (8,2,1) at h=7, i=1, and the
+# 2-3 pair over (4) at h=5, i=0
+SHAPE_PAIRS = {"21": ((8, 2, 1), 7, 1), "23": ((4,), 5, 0)}
+
+
+@pytest.mark.parametrize("key", sorted(SHAPE_PAIRS))
+@pytest.mark.parametrize("field", ["bottom", "f_images", "e_images", "table", "forbidden"])
+def test_each_shape_field_is_read_by_the_checks_that_state_it(monkeypatch, key, field):
+	# one wrong field fails exactly the checks that state its fact, each
+	# with its own detail: a check never carries over another's
+	core, h, i = SHAPE_PAIRS[key]
+	d = [x for x in pr.detect_pairs(core, h) if x.i == i][0]
+	shape = pr.SHAPES[key]
+	assert pr._pair_shape(d, 2) is shape
+	alpha = pt.partition_str(pr.exceptional_triples(d).alpha)
+	wrong = {
+		"bottom": {"bottom": shape.bottom[:2] + shape.bottom[1:2]},
+		"f_images": {"f_images": shape.f_images[1:2] + shape.f_images[1:]},
+		"e_images": {"e_images": (L("1"),) + shape.e_images[1:]},
+		"table": {"table": tuple(r for r in shape.table if r[0] != shape.bottom)},
+		"forbidden": {"forbidden": shape.forbidden + (shape.bottom,)},
+	}[field]
+	want = {
+		"bottom": {
+			"exceptional-e-identities": "f-image of the partition below the triple is ",
+			"exceptional-column-source": "G at the source triple bottom is "},
+		"f_images": {"exceptional-f-identities": "f-image of %s is " % alpha},
+		"e_images": {"exceptional-e-identities": "e-image of %s is " % alpha},
+		"table": {"column-patterns": "unlisted pattern at column %s: " % alpha},
+		"forbidden": {"column-patterns": "forbidden pattern at column %s" % alpha},
+	}[field]
+	monkeypatch.setitem(pr.SHAPES, key, dataclasses.replace(shape, **wrong))
+	failed = {name: detail for name, status, detail in pr.verify_pair(d, 2).checks
+		if status == "fail"}
+	assert set(failed) == set(want)
+	for name, prefix in want.items():
+		assert failed[name].startswith(prefix), (name, failed[name])
 
 
 def test_pair_and_formula_checks_survive_optimised_mode():
 	# python -O strips asserts, but not these checks: a psi that fixes
 	# everything breaks the triples' permutation, a reversed weight-1 chain
-	# breaks the formula's lex order, a block without ppi leaves the
+	# is not the block's member list, a block without ppi leaves the
 	# natural column's clauses without a partition to point at, and the
 	# incomparable (6,3,3) and (5,5,2) above (4,4,4) are no chain, neither
 	# for mu+ nor as an exceptional triple
@@ -376,7 +416,7 @@ def test_pair_and_formula_checks_survive_optimised_mode():
 	assert proc.returncode == 0, proc.stderr
 	assert proc.stdout.splitlines() == [
 		"signature involution does not permute the triples as expected",
-		"weight-1 chain should already be lex-sorted",
+		"weight-1 chain misses block members over (4, 2)",
 		"nat column without ppi",
 		"like-shaped partitions above (4, 4, 4) do not form a chain",
 		"exceptional partitions do not form a chain",
