@@ -126,41 +126,17 @@ def bar_positions(lam, block):
 	return next(iter(pairs))
 
 
-class BarTag:
-	"""Abacus notation for a weight-2 partition: <i,j> or a signed <i>."""
-
-	__slots__ = ("kind", "values")
-
-	def __init__(self, kind, values):
-		pt.require(kind in ("pair", "single"), "bar tag kind %r", kind)
-		self.kind = kind
-		self.values = tuple(values)
-
-	def __eq__(self, other):
-		return isinstance(other, BarTag) and \
-			(self.kind, self.values) == (other.kind, other.values)
-
-	def __hash__(self):
-		return hash((self.kind, self.values))
-
-	def __str__(self):
-		return "<" + ",".join(str(v) for v in self.values) + ">"
-
-	def __repr__(self):
-		return "BarTag%s" % self
-
-
 def pair_tag(i, j):
-	lo, hi = min(abs(i), abs(j)), max(abs(i), abs(j))
-	return BarTag("pair", (lo, hi))
+	return "<%d,%d>" % tuple(sorted((abs(i), abs(j))))
 
 
 def single_tag(s):
-	return BarTag("single", (s,))
+	return "<%d>" % s
 
 
 def abacus_notation(lam, block):
-	"""Classify a weight-2 partition by where its two bar positions sit."""
+	"""Classify a weight-2 partition by where its two bar positions sit,
+	as the text of its tag: <i,j> or a signed <i>."""
 	h = block.h
 	a, b = bar_positions(lam, block)
 	if a == b:

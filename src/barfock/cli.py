@@ -342,13 +342,15 @@ def cmd_verify_pair(args):
 
 
 def cmd_predict_spin(args):
-	_check_weight(args.weight, args.max_weight)
-	block = pt.BlockId(args.h, args.core, args.weight)
+	# --max-weight caps the oracle; the formulas stop at weight 2 by themselves
 	if args.source == "oracle":
-		mat = canonical.canonical_basis(block)
+		_check_weight(args.weight, args.max_weight)
+		build = canonical.canonical_basis
 	else:
-		mat = formulas.formula_matrix(block)
-	preds = spin.predict_matrix(mat)
+		_check_formula_weight(args.weight)
+		build = formulas.formula_matrix
+	block = pt.BlockId(args.h, args.core, args.weight)
+	preds = spin.predict_matrix(build(block))
 	if args.format == "json":
 		_emit(_json({
 			"h": block.h,

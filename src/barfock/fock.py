@@ -75,9 +75,6 @@ class FockVector:
 		vec.terms = terms
 		return vec
 
-	def coefficient(self, lam):
-		return self.terms.get(tuple(lam), ZERO)
-
 	def support(self):
 		"""Partitions with nonzero coefficient, lex ascending."""
 		return sorted(self.terms)
@@ -107,9 +104,6 @@ class FockVector:
 	def items(self):
 		"""(partition, coefficient) pairs, lex ascending."""
 		return [(lam, self.terms[lam]) for lam in sorted(self.terms)]
-
-	def to_json_obj(self):
-		return [[pt.partition_str(lam), str(c)] for lam, c in self.items()]
 
 	def __str__(self):
 		if not self.terms:

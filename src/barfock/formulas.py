@@ -8,7 +8,8 @@ the named special partitions of the block.  The sporadic shapes are one
 table of clauses (`at x`, `chain(lo,hi)`), read by one loop that also
 names each entry's clause as its provenance label.  A weight-2 block is
 enumerated, and its special partitions and member profiles found, once
-per matrix; nothing here is kept between calls.
+per matrix; nothing here is kept between calls.  formula_matrix(block,
+with_labels=False) is the one entry, dispatching on the weight.
 """
 
 from dataclasses import dataclass
@@ -21,13 +22,8 @@ from .laurent import parse as L
 
 
 # ---------------------------------------------------------------------------
-# weights 0 and 1
+# weight 1
 # ---------------------------------------------------------------------------
-
-def weight0_matrix(block):
-	pt.require(block.weight == 0, "weight-0 formula on a weight-%d block", block.weight)
-	return CanonicalBasisMatrix(block, [block.core], {block.core: {block.core: ONE}})
-
 
 def weight1_chain(tau, h):
 	"""The weight-1 block over tau as a dominance-increasing chain.
@@ -60,14 +56,10 @@ def weight1_chain(tau, h):
 	return chain
 
 
-def weight1_matrix(tau, h):
-	"""Decomposition matrix of a weight-1 block: identity plus a subdiagonal
-	of q's and q^2's, depending on whether the row partition contains h."""
-	return _weight1(pt.BlockId(h, tuple(tau), 1))[0]
-
-
 def _weight1(block):
-	"""The weight-1 matrix and its provenance labels."""
+	"""The weight-1 matrix and its provenance labels: identity plus a
+	subdiagonal of q's and q^2's, depending on whether the row partition
+	contains h."""
 	h = block.h
 	chain = weight1_chain(block.core, h)
 	pt.require(chain == pt.enumerate_block(block),
@@ -86,7 +78,6 @@ def _weight1(block):
 
 @dataclass(frozen=True)
 class Weight2Profile:
-	lam: tuple
 	bars: tuple     # the two recorded bar values, (a, b) with a <= b
 	legs: tuple     # their leg lengths, sorted ascending
 	spread: int     # |leg difference|
@@ -122,7 +113,7 @@ def weight2_profile(lam, block):
 	common = pt.intersect(lam, core)
 	legs = tuple(sorted(_leg(c, common, h) for c in bars))
 	spread = legs[1] - legs[0]
-	return Weight2Profile(lam, bars, legs, spread,
+	return Weight2Profile(bars, legs, spread,
 		_colour(bars, legs, spread, common, h, pt.gamma(core, h)))
 
 
@@ -271,8 +262,8 @@ def _weight2_column(mu, block, profiles, named):
 	return out
 
 
-def weight2_matrix(block, with_labels=False):
-	pt.require(block.weight == 2, "weight-2 formula on a weight-%d block", block.weight)
+def _weight2(block):
+	"""The weight-2 matrix and its provenance labels."""
 	members = pt.enumerate_block(block)
 	profiles = {lam: weight2_profile(lam, block) for lam in members}
 	named = special_partitions(block.core, block.h)
@@ -282,18 +273,19 @@ def weight2_matrix(block, with_labels=False):
 			columns[mu] = col = {}
 			for lam, (val, label) in _weight2_column(mu, block, profiles, named).items():
 				col[lam], labels[(lam, mu)] = val, label
-	mat = CanonicalBasisMatrix(block, members, columns)
-	return (mat, labels) if with_labels else mat
+	return CanonicalBasisMatrix(block, members, columns), labels
 
 
 def formula_matrix(block, with_labels=False):
 	"""Dispatch on weight; formulas exist for weights 0, 1, 2 only."""
 	if block.weight == 0:
-		mat, labels = weight0_matrix(block), {(block.core, block.core): "unit"}
+		core = block.core
+		mat = CanonicalBasisMatrix(block, [core], {core: {core: ONE}})
+		labels = {(core, core): "unit"}
 	elif block.weight == 1:
 		mat, labels = _weight1(block)
 	elif block.weight == 2:
-		mat, labels = weight2_matrix(block, with_labels=True)
+		mat, labels = _weight2(block)
 	else:
 		raise ValueError("no closed formula at weight %d" % block.weight)
 	return (mat, labels) if with_labels else mat

@@ -13,8 +13,8 @@ so p packs the coefficients as balanced B-bit digits, each in
 [-2^(B-1), 2^(B-1)), lowest exponent first, with the lowest digit nonzero.
 Zero is (0, 0).  A product is (lo1 + lo2, p1 * p2); a sum is one shift and
 one add, then the zero low digits are stripped; divisible_by_q is lo >= 1;
-equality and hashing compare (lo, p).  Only bar, coefficient, eval_at_one,
-height, items, symmetric_correction, exact_div and str decode the digits.
+equality and hashing compare (lo, p).  Only bar, eval_at_one, height,
+items, symmetric_correction, exact_div and str decode the digits.
 
 Exactness.  Python ints are exact and evaluation at q = 2^B is a ring
 homomorphism, so p is always the exact value at 2^B of q^-lo f, whatever
@@ -158,11 +158,6 @@ class Laurent:
 	def divisible_by_q(self):
 		"""True iff every exponent is >= 1 (so 0 qualifies)."""
 		return self.lo >= 1 or not self.p
-
-	def coefficient(self, e):
-		digits = _unpack(self.p)
-		k = e - self.lo
-		return digits[k] if 0 <= k < len(digits) else 0
 
 	def height(self):
 		"""The largest absolute value of a coefficient (0 for zero)."""

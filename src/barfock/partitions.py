@@ -414,10 +414,6 @@ class BlockId:
 		if self.weight < 0:
 			raise ValueError("negative weight")
 
-	@property
-	def n(self):
-		return n_of(self.h)
-
 	def __str__(self):
 		return "h=%d core=%s w=%d" % (self.h, partition_str(self.core), self.weight)
 

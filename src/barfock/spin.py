@@ -2,9 +2,10 @@
 
 Evaluating a canonical-basis entry at q = 1 and scaling by 2^(x_h/2),
 where x_h is a small statistic of the row partition, conjecturally gives
-the reduced decomposition number.  Everything here is exact: predictions
-are (mantissa, half_power) pairs meaning mantissa * 2^(half_power/2), and
-an odd half_power is flagged rather than approximated.
+the reduced decomposition number.  Everything here is exact: a prediction
+stores the entry's value d(1) at q = 1 and x_h of its row, and reads as
+mantissa * 2^(half_power/2) with mantissa = d(1) and half_power = x_h (0
+when d(1) is 0); an odd half_power is flagged rather than approximated.
 """
 
 from dataclasses import dataclass
@@ -30,26 +31,25 @@ def n_h(lam, h):
 
 
 def x_h(lam, h):
-	base = n_h(lam, h)
-	even = parity(lam) == "even"
-	heven = h_parity(lam, h) == "h-even"
-	if even and heven:
-		return base
-	if even:
-		return base + 1
-	if heven:
-		return base - 1
-	return base
+	"""n_h, plus one if lam is even, minus one if it is h-even."""
+	return n_h(lam, h) + (parity(lam) == "even") - (h_parity(lam, h) == "h-even")
 
 
 @dataclass(frozen=True)
 class SpinPrediction:
+	"""d_at_one * 2^(x/2), the prediction for the entry at (lam, mu)."""
 	lam: tuple
 	mu: tuple
 	d_at_one: int
 	x: int
-	mantissa: int
-	half_power: int
+
+	@property
+	def mantissa(self):
+		return self.d_at_one
+
+	@property
+	def half_power(self):
+		return self.x if self.d_at_one else 0
 
 	@property
 	def half_power_odd(self):
@@ -67,21 +67,12 @@ class SpinPrediction:
 		}
 
 
-def predict_reduced(lam, mu, d, h):
-	"""Prediction for one matrix entry d (a Laurent polynomial)."""
-	lam, mu = tuple(lam), tuple(mu)
-	value = d.eval_at_one()
-	x = x_h(lam, h)
-	if value == 0:
-		return SpinPrediction(lam, mu, 0, x, 0, 0)
-	return SpinPrediction(lam, mu, value, x, value, x)
-
-
 def predict_matrix(matrix):
 	"""Predictions for every entry of a decomposition matrix, row-major."""
 	h = matrix.block.h
 	out = []
 	for lam, row in zip(matrix.rows, matrix.entries):
-		for mu, d in zip(matrix.cols, row):
-			out.append(predict_reduced(lam, mu, d, h))
+		x = x_h(lam, h)
+		out.extend(SpinPrediction(lam, mu, d.eval_at_one(), x)
+			for mu, d in zip(matrix.cols, row))
 	return out

@@ -155,9 +155,12 @@ class TestNotation:
 
 	def test_tag_equality_and_kinds(self):
 		assert ab.pair_tag(2, 0) == ab.pair_tag(0, 2)
+		assert ab.pair_tag(-1, 2) == ab.pair_tag(2, 1) == "<1,2>"
 		assert ab.single_tag(1) != ab.single_tag(-1)
-		assert ab.pair_tag(0, 0).kind == "pair"
-		assert ab.single_tag(-2).kind == "single"
+		assert ab.pair_tag(0, 0) == "<0,0>"
+		assert ab.single_tag(-2) == "<-2>"
+		# a pair tag's text has a comma and a single tag's does not
+		assert ab.pair_tag(0, 2) != ab.single_tag(2)
 
 	def test_notation_is_injective_on_blocks(self):
 		for h in (5, 7):

@@ -91,14 +91,14 @@ def test_criterion_2():
 
 
 # ---------------------------------------------------------------------------
-# 3. weight1_matrix(h=7, tau=(4,2)) is the displayed 4x3 matrix = oracle
+# 3. the weight-1 formula (h=7, tau=(4,2)) is the displayed 4x3 matrix = oracle
 # ---------------------------------------------------------------------------
 
 def test_criterion_3():
 	def body():
 		t0 = time.monotonic()
 		q = q_power
-		m = fm.weight1_matrix((4, 2), 7)
+		m = fm.formula_matrix(pt.BlockId(7, (4, 2), 1))
 		assert m.rows == ((6, 4, 2, 1), (7, 4, 2), (9, 4), (11, 2))
 		assert m.cols == ((6, 4, 2, 1), (7, 4, 2), (9, 4))
 		expect = [
@@ -138,7 +138,7 @@ def test_criterion_4():
 		]
 		got = [[str(c).replace(" ", "") for c in row] for row in oracle.entries]
 		assert got == expect
-		assert fm.weight2_matrix(pt.BlockId(5, (1,), 2)) == oracle
+		assert fm.formula_matrix(pt.BlockId(5, (1,), 2)) == oracle
 		assert time.monotonic() - t0 < 60.0
 	_gate(4, body)
 
@@ -152,8 +152,7 @@ def test_criterion_5():
 		t0 = time.monotonic()
 		count = 0
 		for block in _w1_blocks():
-			assert fm.weight1_matrix(block.core, block.h) == \
-				cb.canonical_basis(block), block
+			assert fm.formula_matrix(block) == cb.canonical_basis(block), block
 			count += 1
 		assert count >= 50
 		assert time.monotonic() - t0 < 300.0
@@ -169,7 +168,7 @@ def test_criterion_6():
 		t0 = time.monotonic()
 		count = 0
 		for block in _w2_blocks():
-			assert fm.weight2_matrix(block) == cb.canonical_basis(block), block
+			assert fm.formula_matrix(block) == cb.canonical_basis(block), block
 			count += 1
 		assert count >= 30
 		assert time.monotonic() - t0 < 1800.0

@@ -311,6 +311,23 @@ def test_predict_spin_csv_formula_source(capsys):
 	assert out.splitlines()[0].startswith("lam,mu,d_at_one")
 
 
+@pytest.mark.parametrize("weight", ["3", "4"])
+def test_predict_spin_formula_weight_is_usage_error(capsys, weight):
+	# the formula source has formula's rule, not the oracle's --max-weight cap
+	code, out, err = run(capsys, "predict-spin", "--h", "5", "--core", "()",
+		"--weight", weight, "--source", "formula")
+	assert code == 1 and out == ""
+	assert "formulas exist for weights 0, 1, 2" in err
+	assert "cap" not in err
+
+
+def test_predict_spin_oracle_keeps_the_cap(capsys):
+	code, out, err = run(capsys, "predict-spin", "--h", "5", "--core", "()",
+		"--weight", "4")
+	assert code == 1 and out == ""
+	assert "error: weight 4 exceeds the cap 3 (raise --max-weight if you mean it)" in err
+
+
 def test_bad_h_is_usage_error(capsys):
 	code, _, _ = run(capsys, "cb", "--h", "4", "--core", "()",
 		"--weight", "1")

@@ -28,7 +28,7 @@ class TestWeight1:
 				assert not pt.is_restricted(parts[-1], h)
 
 	def test_displayed_matrix(self):
-		m = fm.weight1_matrix((4, 2), 7)
+		m = fm.formula_matrix(pt.BlockId(7, (4, 2), 1))
 		assert list(m.rows) == [(6, 4, 2, 1), (7, 4, 2), (9, 4), (11, 2)]
 		assert list(m.cols) == [(6, 4, 2, 1), (7, 4, 2), (9, 4)]
 		got = [[str(e) for e in row] for row in m.entries]
@@ -43,13 +43,13 @@ class TestWeight1:
 		(3, ()), (3, (2,)), (5, (1,)), (5, (4, 2)), (7, (4, 2)), (7, (1,)),
 	])
 	def test_matches_oracle(self, h, core):
-		m = fm.weight1_matrix(core, h)
+		m = fm.formula_matrix(pt.BlockId(h, core, 1))
 		o = cb.canonical_basis(pt.BlockId(h, core, 1))
 		assert (m.rows, m.cols, m.entries) == (o.rows, o.cols, o.entries)
 
 	def test_entry_values_follow_h_membership(self):
 		# subdiagonal entry is q when the lower partition contains h, else q^2
-		m = fm.weight1_matrix((4, 2), 7)
+		m = fm.formula_matrix(pt.BlockId(7, (4, 2), 1))
 		assert str(m.entry((7, 4, 2), (6, 4, 2, 1))) == "q"	# 7 in (7,4,2)
 		assert str(m.entry((9, 4), (7, 4, 2))) == "q^2"
 
@@ -179,7 +179,7 @@ class TestMuPlus:
 class TestWeight2Matrix:
 	def test_golden_block(self):
 		b = pt.BlockId(5, (1,), 2)
-		m = fm.weight2_matrix(b)
+		m = fm.formula_matrix(b)
 		o = cb.canonical_basis(b)
 		assert (m.rows, m.cols, m.entries) == (o.rows, o.cols, o.entries)
 
@@ -189,13 +189,13 @@ class TestWeight2Matrix:
 	])
 	def test_matches_oracle(self, h, core):
 		b = pt.BlockId(h, core, 2)
-		m = fm.weight2_matrix(b)
+		m = fm.formula_matrix(b)
 		o = cb.canonical_basis(b)
 		assert (m.rows, m.cols, m.entries) == (o.rows, o.cols, o.entries)
 
 	def test_labels_cover_all_nonzero_entries(self):
 		b = pt.BlockId(5, (1,), 2)
-		m, labels = fm.weight2_matrix(b, with_labels=True)
+		m, labels = fm.formula_matrix(b, with_labels=True)
 		for (lam, mu), tag in labels.items():
 			assert m.entry(lam, mu), (lam, mu, tag)
 			assert isinstance(tag, str) and tag
@@ -203,11 +203,20 @@ class TestWeight2Matrix:
 
 class TestDispatch:
 	def test_formula_matrix_by_weight(self):
-		assert fm.formula_matrix(pt.BlockId(5, (3, 1), 0)).entries == ((ONE,),)
-		m1 = fm.formula_matrix(pt.BlockId(7, (4, 2), 1))
-		assert m1.entries == fm.weight1_matrix((4, 2), 7).entries
-		m2 = fm.formula_matrix(pt.BlockId(5, (1,), 2))
-		assert m2.entries == fm.weight2_matrix(pt.BlockId(5, (1,), 2)).entries
+		m0, labels0 = fm.formula_matrix(pt.BlockId(5, (3, 1), 0), with_labels=True)
+		assert m0.entries == ((ONE,),) and labels0 == {((3, 1), (3, 1)): "unit"}
+		# weight 1: the dominance chain, with the weight-1 labels
+		b1 = pt.BlockId(7, (4, 2), 1)
+		m1, labels1 = fm.formula_matrix(b1, with_labels=True)
+		assert list(m1.rows) == fm.weight1_chain((4, 2), 7)
+		assert set(labels1.values()) == {"unit", "step", "step-h"}
+		assert fm.formula_matrix(b1) == m1
+		# weight 2: every block member, with sporadic and generic labels
+		b2 = pt.BlockId(5, (1,), 2)
+		m2, labels2 = fm.formula_matrix(b2, with_labels=True)
+		assert list(m2.rows) == pt.enumerate_block(b2)
+		assert {"at nat", "partner", "between"} <= set(labels2.values())
+		assert fm.formula_matrix(b2) == m2
 
 	def test_weight_cap(self):
 		with pytest.raises(ValueError):

@@ -87,7 +87,7 @@ class TestHelpers:
 
 	@given(coeffs, st.integers(min_value=-6, max_value=6))
 	def test_eval_at_one_is_coeff_sum(self, a, e):
-		assert a.eval_at_one() == sum(a.coefficient(x) for x in range(-10, 11))
+		assert a.eval_at_one() == sum(dict(a.items()).get(x, 0) for x in range(-10, 11))
 		assert a.shift(e).eval_at_one() == a.eval_at_one()
 
 	def test_divisible_by_q(self):
@@ -236,9 +236,10 @@ class TestPackedAgainstDicts:
 		# 2^39, and 2^10 of those summed stay exact
 		f = Laurent({e: COEFF_BOUND for e in range(-64, 64)})
 		square = f * f
-		assert square.coefficient(-128) == COEFF_BOUND ** 2
-		assert square.coefficient(-1) == 128 * COEFF_BOUND ** 2
-		assert square.coefficient(127) == 0
+		coeff = dict(square.items())
+		assert coeff.get(-128, 0) == COEFF_BOUND ** 2
+		assert coeff.get(-1, 0) == 128 * COEFF_BOUND ** 2
+		assert coeff.get(127, 0) == 0
 		assert (square * 1024).height() == 1024 * 128 * COEFF_BOUND ** 2
 		g = Laurent({-70: -COEFF_BOUND, 70: COEFF_BOUND})
 		assert as_map(g * g) == {-140: COEFF_BOUND ** 2, 0: -2 * COEFF_BOUND ** 2,

@@ -388,7 +388,7 @@ def test_pair_and_formula_checks_survive_optimised_mode():
 		real = fm.weight1_chain
 		fm.weight1_chain = lambda tau, h: real(tau, h)[::-1]
 		try:
-			fm.weight1_matrix((4, 2), 7)
+			fm.formula_matrix(pt.BlockId(7, (4, 2), 1))
 		except pt.InvariantError as e:
 			print(e)
 		specials = fm.special_partitions
@@ -399,7 +399,7 @@ def test_pair_and_formula_checks_survive_optimised_mode():
 		except pt.InvariantError as e:
 			print(e)
 		lams = [(6, 3, 3), (5, 5, 2), (4, 4, 4)]
-		profiles = {lam: fm.Weight2Profile(lam, (), (), 1, "black") for lam in lams}
+		profiles = {lam: fm.Weight2Profile((), (), 1, "black") for lam in lams}
 		try:
 			fm.mu_plus((4, 4, 4), profiles)
 		except pt.InvariantError as e:

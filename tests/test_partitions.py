@@ -392,7 +392,7 @@ class TestBlockId:
 		with pytest.raises(ValueError):
 			pt.BlockId(5, (1,), -1)
 		b = pt.BlockId(5, (1,), 2)
-		assert b.n == 2
+		assert (b.h, b.core, b.weight) == (5, (1,), 2)
 		assert "(1)" in str(b)
 
 	def test_weight_zero_block(self):

@@ -89,3 +89,87 @@ def test_canonical_docstring_lists_every_table():
 				for name in sorted(module_tables(f.read()))]
 	assert found
 	assert [name for name in found if "`%s`" % name not in doc] == []
+
+
+# Helpers that only tests call but that stay, each for the fact its test
+# states.  canonical.peel_word and fock.monomial_apply need no entry: the
+# bench tracer names them as strings.
+TEST_ONLY = {
+	"Laurent.bar": "the bar involution, which a bar-invariance check needs",
+	"FockVector.scale": "the divided-power identity f_i^k = [k]_i! f_i^(k)",
+	"exceptional_triples": "the paper's exceptional triples of a linked pair",
+}
+
+
+def _references(node):
+	"""How often each name is read below node: as a name, an attribute or
+	a string constant equal to it (the bench tracer names its targets so)."""
+	counts = {}
+	for n in ast.walk(node):
+		if isinstance(n, ast.Name):
+			key = n.id
+		elif isinstance(n, ast.Attribute):
+			key = n.attr
+		elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+			key = n.value
+		else:
+			continue
+		counts[key] = counts.get(key, 0) + 1
+	return counts
+
+
+def unreferenced(defining, referencing):
+	"""Top-level functions and non-dunder methods of the `defining`
+	sources that nothing in either list reads outside their own body, as
+	qualified names."""
+	trees = [ast.parse(source) for source in defining]
+	total = {}
+	for tree in trees + [ast.parse(source) for source in referencing]:
+		for key, count in _references(tree).items():
+			total[key] = total.get(key, 0) + count
+	found = []
+	for tree in trees:
+		for node in tree.body:
+			members = [("", node)]
+			if isinstance(node, ast.ClassDef):
+				members = [(node.name + ".", m) for m in node.body]
+			for prefix, fn in members:
+				if not isinstance(fn, ast.FunctionDef) or \
+						(fn.name.startswith("__") and fn.name.endswith("__")):
+					continue
+				if total.get(fn.name, 0) == _references(fn).get(fn.name, 0):
+					found.append(prefix + fn.name)
+	return sorted(found)
+
+
+def test_reference_scan_sees_every_kind_of_use():
+	defining = (
+		"def called():\n\treturn 1\n"
+		"def unused():\n\treturn called()\n"
+		"def recursive(k):\n\treturn recursive(k - 1) if k else 0\n"
+		"def named():\n\treturn 0\n"
+		"class K:\n"
+		"\tdef __eq__(self, other):\n\t\treturn True\n"
+		"\tdef read(self):\n\t\treturn 0\n"
+		"\tdef only_test(self):\n\t\treturn self\n")
+	referencing = "import m\nm.K().read()\nTRACED = [(m, 'named')]\n"
+	assert unreferenced([defining], [referencing]) == \
+		["K.only_test", "recursive", "unused"]
+
+
+def test_no_helper_only_tests_call():
+	# src and bench are the callers that count; a helper that only a test
+	# reads goes, unless TEST_ONLY gives the paper fact its test states
+	pkg = os.path.dirname(os.path.abspath(barfock.__file__))
+	bench = os.path.join(os.path.dirname(os.path.dirname(pkg)), "bench")
+	src_paths = sorted(glob.glob(os.path.join(pkg, "*.py")))
+	bench_paths = sorted(glob.glob(os.path.join(bench, "*.py")))
+	assert src_paths and bench_paths
+
+	def read(path):
+		with open(path, encoding="utf-8") as f:
+			return f.read()
+
+	found = unreferenced([read(p) for p in src_paths], [read(p) for p in bench_paths])
+	assert [name for name in found if name not in TEST_ONLY] == []
+	assert sorted(TEST_ONLY) == [name for name in found if name in TEST_ONLY]

@@ -42,25 +42,30 @@ def test_x_h_case_table():
 
 
 def test_zero_entry_is_zero_prediction():
-	p = sp.predict_reduced((5, 4), (4,), ZERO, 5)
+	m = fm.formula_matrix(pt.BlockId(7, (4, 2), 1))
+	assert m.entry((7, 4, 2), (9, 4)) == ZERO
+	p = {(p.lam, p.mu): p for p in sp.predict_matrix(m)}[((7, 4, 2), (9, 4))]
+	# x_h of the row is 2, but a zero entry predicts 0 * 2^0
+	assert p.d_at_one == 0 and p.x == sp.x_h((7, 4, 2), 7) == 2
 	assert (p.mantissa, p.half_power) == (0, 0)
-	assert p.d_at_one == 0
 
 
 def test_packing_and_odd_flag():
 	one = ONE
 	q2 = q_power(2)
-	p = sp.predict_reduced((10, 5, 1), (10, 5, 1), one, 5)
+	p = sp.SpinPrediction((10, 5, 1), (10, 5, 1), one.eval_at_one(),
+		sp.x_h((10, 5, 1), 5))
 	# even parity (one even part: 10), 16 nodes of nonzero residue -> h-even
 	assert p.d_at_one == 1 and p.mantissa == 1
 	assert p.half_power == sp.x_h((10, 5, 1), 5)
-	p2 = sp.predict_reduced((6, 5), (5, 5, 1), one + q2, 5)
+	p2 = sp.SpinPrediction((6, 5), (5, 5, 1), (one + q2).eval_at_one(),
+		sp.x_h((6, 5), 5))
 	assert p2.d_at_one == 2 and p2.mantissa == 2
 	assert p2.half_power_odd == (sp.x_h((6, 5), 5) % 2 == 1)
 
 
 def test_predict_matrix_row_major():
-	m = fm.weight1_matrix((4, 2), 7)
+	m = fm.formula_matrix(pt.BlockId(7, (4, 2), 1))
 	preds = sp.predict_matrix(m)
 	assert len(preds) == len(m.rows) * len(m.cols)
 	k = 0
@@ -88,7 +93,7 @@ def test_predictions_on_canonical_block():
 
 
 def test_json_shape():
-	p = sp.predict_reduced((3,), (3,), ONE, 3)
+	p = sp.SpinPrediction((3,), (3,), ONE.eval_at_one(), sp.x_h((3,), 3))
 	obj = p.to_json_obj()
 	assert set(obj) == {"lam", "mu", "d_at_one", "x_h", "mantissa",
 		"half_power", "half_power_odd"}
