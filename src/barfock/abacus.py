@@ -85,7 +85,7 @@ class AbacusDisplay:
 def from_partition(lam, h):
 	lam = pt.check_partition(lam)
 	if not pt.is_h_strict(lam, h):
-		raise ValueError("%r is not %d-strict" % (lam, h))
+		raise ValueError("%s is not %d-strict" % (pt.partition_str(lam), h))
 	delta = {}
 	for a in lam:
 		delta[a] = delta.get(a, 0) + 1

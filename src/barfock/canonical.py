@@ -12,19 +12,19 @@ Everything that theory promises along the way is checked, not assumed,
 and the checks raise InvariantError, so they survive `python -O`.
 
 The canonical basis is unique, so finished columns live in one store per
-(h, peel policy), shared by every block the oracle builds: each G(mu) is
-built and checked once per process.  A call that fails takes its
-unfinished columns back out of the store.
+h, shared by every block the oracle builds: each G(mu) is built and
+checked once per process.  A call that fails takes its unfinished columns
+back out of the store.
 
 Every process-wide table in the package, with its key and its bound:
 - `fock._image`, `fock._coefficient`: by (lam, i, k, h, direction) and by
   (exponent, bar factors); LRU caches of `fock.IMAGE_CACHE_SIZE` each;
-- `_STORE`: columns and interned coefficients by (h, peel policy);
+- `_STORE`: columns and interned coefficients by h;
   unbounded, one column per restricted partition the process reaches.
   A column is a plain zero-free {lam: coefficient} dict, and a
   coefficient is checked against `laurent.COEFF_BOUND` when it is first
   interned, which keeps the packed arithmetic exact (see `laurent`);
-- `_CACHE`: matrices by (block, peel policy); unbounded, views of `_STORE`;
+- `_CACHE`: matrices by block; unbounded, views of `_STORE`;
 - `partitions._RESIDUE_TABLES`: one residue tuple per h.
 Nothing else in `src/` keeps state between calls.
 """
@@ -93,16 +93,13 @@ def psi(lam, i, h):
 # peeling and the oracle
 # ---------------------------------------------------------------------------
 
-def string_top(mu, h, policy="smallest"):
-	"""Remove all normal i-nodes for the first residue that has any.
+def string_top(mu, h):
+	"""Remove all normal i-nodes for the least residue i that has any.
 
-	Returns (nu, i, k); policy picks whether residues are scanned from 0
-	upward or from n downward.  The result must stay restricted.
+	Returns (nu, i, k); the result must stay restricted.
 	"""
 	pt.require(mu, "nothing to peel")
-	n = pt.n_of(h)
-	order = range(n + 1) if policy == "smallest" else range(n, -1, -1)
-	for i in order:
+	for i in range(pt.n_of(h) + 1):
 		norm = normal_nodes(mu, i, h)
 		if norm:
 			nu = pt.move_nodes(mu, norm, h, -1)
@@ -114,7 +111,7 @@ def string_top(mu, h, policy="smallest"):
 	raise pt.InvariantError("nonempty restricted partition with no normal nodes: %r" % (mu,))
 
 
-def peel_word(mu, h, policy="smallest"):
+def peel_word(mu, h):
 	"""The divided-power word rebuilding mu from the vacuum, first letter
 	applied first."""
 	if not pt.is_restricted(mu, h):
@@ -122,7 +119,7 @@ def peel_word(mu, h, policy="smallest"):
 	word = []
 	nu = mu
 	while nu:
-		nu, i, k = string_top(nu, h, policy)
+		nu, i, k = string_top(nu, h)
 		word.append((i, k))
 	word.reverse()
 	return word
@@ -216,11 +213,11 @@ class CanonicalBasisMatrix:
 		return "\n".join(lines)
 
 
-_CACHE = {}  # finished matrices, by (block, peel policy)
-_STORE = {}  # by (h, peel policy): (finished columns by mu, interned coefficients)
+_CACHE = {}  # finished matrices, by block
+_STORE = {}  # by h: (finished columns by mu, interned coefficients)
 
 
-def canonical_basis(block, peel_policy="smallest"):
+def canonical_basis(block):
 	"""The block's canonical-basis matrix, by memoised recursion on columns.
 
 	G(()) is the vacuum.  For a restricted mu with (nu, i, k) =
@@ -235,27 +232,26 @@ def canonical_basis(block, peel_policy="smallest"):
 	its coefficient.  The support of G(lam) is lex >= lam, so a correction
 	never dirties a position already passed.
 
-	G is the module's column store for (h, peel policy): every call reads
-	it and adds the columns it builds, the G(nu) of smaller blocks that the
-	recursion reaches included.  The canonical basis is unique, so a column
-	is the same whichever block asked for it, and each one is built and
-	checked once.  The two peel policies keep separate stores, which keeps
-	them independent cross-checks.  Whether a column stays inside the block
-	depends on the block, so that check runs on every target column when
-	the matrix is assembled, stored columns included.  A column asked for
-	while it is being computed is a dependency cycle and a hard error; its
-	in-progress placeholder is None, and a call that raises removes its
-	placeholders, so the store only ever holds fully checked columns.
+	G is the module's column store for h: every call reads it and adds
+	the columns it builds, the G(nu) of smaller blocks that the recursion
+	reaches included.  The canonical basis is unique, so a column is the
+	same whichever block asked for it, and each one is built and checked
+	once.  Whether a column stays inside the block depends on the block,
+	so that check runs on every target column when the matrix is
+	assembled, stored columns included.  A column asked for while it is
+	being computed is a dependency cycle and a hard error; its in-progress
+	placeholder is None, and a call that raises removes its placeholders,
+	so the store only ever holds fully checked columns.
 	"""
-	key = (block, peel_policy)
+	key = (block, "smallest")  # the key bench/tracer.py's cache probe builds
 	if key in _CACHE:
 		return _CACHE[key]
 	h = block.h
 	parts = pt.enumerate_block(block)
 	restricted = [p for p in parts if pt.is_restricted(p, h)]
-	if (h, peel_policy) not in _STORE:
-		_STORE[h, peel_policy] = ({(): {(): ONE}}, {})
-	G, coeffs = _STORE[h, peel_policy]  # coeffs: one object per distinct coefficient
+	if h not in _STORE:
+		_STORE[h] = ({(): {(): ONE}}, {})
+	G, coeffs = _STORE[h]  # coeffs: one object per distinct coefficient
 	contents = {}  # h-content per partition: columns share most of their terms
 
 	def column(mu):
@@ -264,7 +260,7 @@ def canonical_basis(block, peel_policy="smallest"):
 				"%s: columns depend on each other in a cycle at %r", block, mu)
 			return G[mu]
 		G[mu] = None  # in progress
-		nu, i, k = string_top(mu, h, peel_policy)
+		nu, i, k = string_top(mu, h)
 		# apply_f's result is a fresh dict: the column is built in it
 		terms = fock.apply_f(fock.FockVector.wrap(h, column(nu)), i, k).terms
 		where = "%s, column %s" % (block, pt.partition_str(mu))

@@ -212,8 +212,6 @@ def cmd_block(args):
 def cmd_core(args):
 	h = pt.check_h(args.h)
 	lam = args.partition
-	if not pt.is_h_strict(lam, h):
-		raise _UsageError("%s is not %d-strict" % (pt.partition_str(lam), h))
 	core = pt.bar_core(lam, h)
 	weight = pt.bar_weight(lam, h)
 	if args.format == "json":

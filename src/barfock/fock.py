@@ -56,7 +56,7 @@ class FockVector:
 		for lam, c in (terms or {}).items():
 			lam = pt.check_partition(lam)
 			if not pt.is_h_strict(lam, h):
-				raise ValueError("%r is not %d-strict" % (lam, h))
+				raise ValueError("%s is not %d-strict" % (pt.partition_str(lam), h))
 			c = c if isinstance(c, Laurent) else Laurent(c)
 			if c:
 				tt[lam] = c
@@ -187,6 +187,8 @@ def _apply(vec, i, k, raising):
 	"""f_i^(k) (raising) or e_i^(k) (lowering) on a Fock vector: the sum of
 	its terms' cached images, each scaled by the term's coefficient.  The
 	result's terms are always a fresh dict, which the caller may keep."""
+	if k < 0:
+		raise ValueError("divided powers need k >= 0, got k=%d" % k)
 	h = vec.h
 	if k == 0:
 		return FockVector.wrap(h, dict(vec.terms))

@@ -39,7 +39,7 @@ def detect_pairs(sigma, h):
 	"""One descriptor per residue at which the core has addable nodes."""
 	sigma = tuple(sigma)
 	if not pt.is_core(sigma, h):
-		raise ValueError("%r is not a %d-bar-core" % (sigma, h))
+		raise ValueError("%s is not a %d-bar-core" % (pt.partition_str(sigma), h))
 	n = pt.n_of(h)
 	out = []
 	for i in range(n + 1):

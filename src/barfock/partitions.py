@@ -38,9 +38,9 @@ def check_partition(lam):
 	lam = tuple(lam)
 	for r in range(len(lam)):
 		if not (isinstance(lam[r], int) and lam[r] > 0):
-			raise ValueError("parts must be positive integers: %r" % (lam,))
+			raise ValueError("parts must be positive integers: %s" % partition_str(lam))
 		if r + 1 < len(lam) and lam[r] < lam[r + 1]:
-			raise ValueError("parts must weakly decrease: %r" % (lam,))
+			raise ValueError("parts must weakly decrease: %s" % partition_str(lam))
 	return lam
 
 
@@ -63,7 +63,7 @@ def is_restricted(lam, h):
 	(so a single part h is already not restricted).
 	"""
 	if not is_h_strict(lam, h):
-		raise ValueError("%r is not %d-strict" % (lam, h))
+		raise ValueError("%s is not %d-strict" % (partition_str(lam), h))
 	for r in range(len(lam)):
 		nxt = lam[r + 1] if r + 1 < len(lam) else 0
 		if nxt > lam[r] - h:
@@ -271,7 +271,7 @@ def bar_core(lam, h):
 	check_h(h)
 	lam = check_partition(lam)
 	if not is_h_strict(lam, h):
-		raise ValueError("%r is not %d-strict" % (lam, h))
+		raise ValueError("%s is not %d-strict" % (partition_str(lam), h))
 	surplus = [0] * h
 	for a in lam:
 		surplus[a % h] += 1
@@ -410,7 +410,7 @@ class BlockId:
 		check_h(self.h)
 		object.__setattr__(self, "core", check_partition(self.core))
 		if bar_weight(self.core, self.h) != 0:
-			raise ValueError("%r is not a %d-bar-core" % (self.core, self.h))
+			raise ValueError("%s is not a %d-bar-core" % (partition_str(self.core), self.h))
 		if self.weight < 0:
 			raise ValueError("negative weight")
 

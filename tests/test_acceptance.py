@@ -16,6 +16,8 @@ import barfock.partitions as pt
 import barfock.spin as sp
 from barfock.laurent import ZERO, ONE, q_power, parse as lparse
 
+from test_bar_invariance import bar_failures
+
 
 def _gate(n, body):
 	try:
@@ -509,10 +511,11 @@ def _check_pair_tables():
 	assert count >= 10
 
 
-def _check_dual_peel():
+def _check_bar_invariance():
+	failures = []
 	for block in list(_w1_blocks()) + list(_w2_blocks()):
-		assert cb.canonical_basis(block, "smallest") == \
-			cb.canonical_basis(block, "largest"), block
+		failures += bar_failures(block)[0]
+	assert failures == []
 
 
 def test_criterion_8():
@@ -523,7 +526,7 @@ def test_criterion_8():
 		_check_weight2_statistics()
 		_check_unexceptional_transport()
 		_check_pair_tables()
-		_check_dual_peel()
+		_check_bar_invariance()
 	_gate(8, body)
 
 

@@ -14,6 +14,7 @@ import barfock.canonical as cb
 from barfock.laurent import ONE, ZERO, parse
 
 from test_acceptance import W1_CORES, W2_CORES
+from test_bar_invariance import bar_failures
 
 
 def signature_nodes(lam, i, h):
@@ -184,19 +185,6 @@ class TestOracle:
 	@pytest.mark.parametrize("block", [
 		pt.BlockId(5, (), 2),
 		pt.BlockId(5, (1,), 2),
-		pt.BlockId(5, (2,), 2),
-		pt.BlockId(3, (), 3),
-		pt.BlockId(3, (1,), 2),
-		pt.BlockId(7, (2, 1), 2),
-		pt.BlockId(7, (8, 2, 1), 2),
-	])
-	def test_dual_peel_agreement(self, block):
-		assert cb.canonical_basis(block, "smallest") == \
-			cb.canonical_basis(block, "largest")
-
-	@pytest.mark.parametrize("block", [
-		pt.BlockId(5, (), 2),
-		pt.BlockId(5, (1,), 2),
 		pt.BlockId(3, (), 2),
 		pt.BlockId(7, (4, 2), 1),
 	])
@@ -217,8 +205,8 @@ class TestOracle:
 
 @pytest.fixture
 def clean_store():
-	"""Both peel policies' column stores and the matrix cache, empty before
-	and after the test."""
+	"""The column stores and the matrix cache, empty before and after the
+	test."""
 	def clear():
 		cb._STORE.clear()
 		cb._CACHE.clear()
@@ -228,9 +216,8 @@ def clean_store():
 
 
 class TestColumnStore:
-	@pytest.mark.parametrize("policy", ["smallest", "largest"])
 	@pytest.mark.parametrize("error", [pt.InvariantError, KeyboardInterrupt])
-	def test_failed_call_leaves_store_clean(self, clean_store, monkeypatch, policy, error):
+	def test_failed_call_leaves_store_clean(self, clean_store, monkeypatch, error):
 		# fail once more than ten columns are finished and three are in
 		# progress: the placeholders must go, or the next call reports a
 		# false cycle
@@ -238,28 +225,27 @@ class TestColumnStore:
 		real = cb.fock.apply_f
 
 		def failing(vec, i, k=1):
-			columns = cb._STORE[block.h, policy][0]
+			columns = cb._STORE[block.h][0]
 			pending = sum(c is None for c in columns.values())
 			if pending >= 3 and len(columns) - pending > 10:
 				raise error("synthetic failure")
 			return real(vec, i, k)
 		monkeypatch.setattr(cb.fock, "apply_f", failing)
 		with pytest.raises(error, match="synthetic failure"):
-			cb.canonical_basis(block, policy)
-		columns = cb._STORE[block.h, policy][0]
+			cb.canonical_basis(block)
+		columns = cb._STORE[block.h][0]
 		assert None not in columns.values()
 		assert len(columns) > 10  # columns finished before the failure stay
 		monkeypatch.setattr(cb.fock, "apply_f", real)
-		after_failure = cb.canonical_basis(block, policy)
+		after_failure = cb.canonical_basis(block)
 		clean_store()
-		assert cb.canonical_basis(block, policy) == after_failure
+		assert cb.canonical_basis(block) == after_failure
 
-	@pytest.mark.parametrize("policy", ["smallest", "largest"])
-	def test_matrix_columns_are_the_store_columns(self, clean_store, policy):
+	def test_matrix_columns_are_the_store_columns(self, clean_store):
 		# a block's matrix is a view of the store, not a second copy
 		for block in [pt.BlockId(5, (1,), 2), pt.BlockId(5, (), 3), pt.BlockId(7, (), 2)]:
-			m = cb.canonical_basis(block, policy)
-			store = cb._STORE[block.h, policy][0]
+			m = cb.canonical_basis(block)
+			store = cb._STORE[block.h][0]
 			assert m.cols
 			for mu in m.cols:
 				assert m.columns[mu] is store[mu]
@@ -271,7 +257,7 @@ class TestColumnStore:
 		with pytest.raises(pt.InvariantError, match=r"^h=5 core=\(\) w=3, column \(5,5,4,1\): "
 				r"coefficient 2\*q\^2 at \(9, 5, 1\) exceeds the bound 1$"):
 			cb.canonical_basis(pt.BlockId(5, (), 3))
-		assert None not in cb._STORE[5, "smallest"][0].values()
+		assert None not in cb._STORE[5][0].values()
 
 	def test_leak_check_runs_on_stored_columns(self, clean_store):
 		# a column already in the store is checked against the block that
@@ -279,13 +265,12 @@ class TestColumnStore:
 		block = pt.BlockId(5, (1,), 2)
 		mu = cb.canonical_basis(block).cols[0]
 		cb._CACHE.clear()
-		cb._STORE[5, "smallest"][0][mu][(99,)] = ONE
+		cb._STORE[5][0][mu][(99,)] = ONE
 		with pytest.raises(pt.InvariantError,
 				match=r"^h=5 core=\(1\) w=2, column \(5,3,2,1\): leaks outside the block at \(99,\)$"):
 			cb.canonical_basis(block)
 
-	@pytest.mark.parametrize("policy", ["smallest", "largest"])
-	def test_any_order_same_matrices(self, clean_store, monkeypatch, policy):
+	def test_any_order_same_matrices(self, clean_store, monkeypatch):
 		# every weight-1/2 block of the gate's sweeps: one warm store in a
 		# shuffled order gives the matrices of one cold store per block, and
 		# builds each column once
@@ -295,21 +280,41 @@ class TestColumnStore:
 			for core in pt.enumerate_cores(h, cap)]
 		cold = {}
 		for block in blocks:
-			cold[block] = cb.canonical_basis(block, policy)
+			cold[block] = cb.canonical_basis(block)
 			clean_store()
 		built = {}
 		real = cb.string_top
 
-		def counting(mu, h, peel_policy="smallest"):
-			key = (h, peel_policy, mu)
-			built[key] = built.get(key, 0) + 1
-			return real(mu, h, peel_policy)
+		def counting(mu, h):
+			built[h, mu] = built.get((h, mu), 0) + 1
+			return real(mu, h)
 		monkeypatch.setattr(cb, "string_top", counting)
 		random.Random(2019).shuffle(blocks)
 		for block in blocks:
-			assert cb.canonical_basis(block, policy) == cold[block], block
+			assert cb.canonical_basis(block) == cold[block], block
 		assert built and set(built.values()) == {1}
-		assert {key[:2] for key in built} == {(h, policy) for h in W1_CORES}
+		assert {h for h, _ in built} == set(W1_CORES)
+
+
+def test_bar_check_catches_a_mutant_the_build_checks_pass(clean_store, monkeypatch):
+	# scale the raising i = 0 coefficient by q^2 when lam has at least three
+	# parts and ends in 1: this block still builds, every build check
+	# passes, its matrix changes, and only bar invariance notices
+	block = pt.BlockId(3, (1,), 3)
+	clean = cb.canonical_basis(block)
+	clean_store()
+	real = cb.fock._image
+	q2 = parse("q^2")
+
+	def mutant(lam, i, k, h, raising):
+		out = real(lam, i, k, h, raising)
+		if raising and i == 0 and len(lam) >= 3 and lam[-1] == 1:
+			out = tuple((mu, c * q2) for mu, c in out)
+		return out
+	monkeypatch.setattr(cb.fock, "_image", mutant)
+	assert cb.canonical_basis(block) != clean
+	assert "h=3 core=(1) w=3: e_0 G(3,3,3,1) at G(5,3,1) has 2*q^-1 + 3*q + q^3" \
+		in bar_failures(block)[0]
 
 
 def test_invariants_survive_optimised_mode():

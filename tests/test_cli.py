@@ -79,7 +79,19 @@ def test_core_command(capsys):
 
 def test_core_rejects_non_strict(capsys):
 	code, _, err = run(capsys, "core", "--h", "5", "--partition", "(4,4)")
-	assert code == 1 and "not 5-strict" in err
+	assert (code, err) == (1, "error: (4,4) is not 5-strict\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+	(("cb", "--h", "5", "--core", "(5)", "--weight", "1"), "(5) is not a 5-bar-core"),
+	(("cb", "--h", "5", "--core", "(2,2)", "--weight", "1"), "(2,2) is not 5-strict"),
+	(("block", "--h", "5", "--core", "(0)", "--weight", "1"),
+		"argument --core: parts must be positive integers: (0)"),
+])
+def test_library_errors_write_partitions_as_the_cli_does(capsys, argv, message):
+	code, out, err = run(capsys, *argv)
+	assert (code, out) == (1, "")
+	assert err.endswith("error: %s\n" % message)
 
 
 def test_cb_table_and_determinism(capsys):

@@ -118,6 +118,13 @@ class TestOperatorLaws:
 		assert fock.apply_f(v, 0, 0) == v
 		assert fock.apply_e(v, 2, 0) == v
 
+	@pytest.mark.parametrize("op", [fock.apply_f, fock.apply_e])
+	@pytest.mark.parametrize("v", [vec(5, ((5, 4), "q")), fock.FockVector(5)])
+	def test_negative_power_is_refused(self, op, v):
+		# empty or not, the vector never decides whether k < 0 gets through
+		with pytest.raises(ValueError, match=r"^divided powers need k >= 0, got k=-2$"):
+			op(v, 1, -2)
+
 
 class TestVectorBasics:
 	def test_algebra(self):

@@ -1,11 +1,11 @@
 """Golden corpus: canonical-basis matrices pinned by sha256.
 
-One hash per block and peel policy, of the matrix's canonical JSON (keys
-sorted, no whitespace).  golden_cb.json holds the weight-3 and weight-4
-blocks, beyond the closed formulas, recorded from the vacuum-monomial
-oracle that the recursive one replaced.  golden_cb_sweep.json holds every
-weight-1 and weight-2 block of the acceptance sweeps, recorded before the
-Fock operator cached its images.
+One hash per block, of the matrix's canonical JSON (keys sorted, no
+whitespace).  golden_cb.json holds the weight-3 and weight-4 blocks,
+beyond the closed formulas, recorded from the vacuum-monomial oracle that
+the recursive one replaced.  golden_cb_sweep.json holds every weight-1 and
+weight-2 block of the acceptance sweeps, recorded before the Fock operator
+cached its images.
 
 golden_consumer.json pins the consumers of those sweeps: one hash per
 weight-1/2 block of the closed-formula matrix with its provenance labels,
@@ -37,7 +37,6 @@ import barfock.partitions as pt
 CORPUS = {(3, 3): 6, (5, 3): 6, (7, 3): 6, (3, 4): 6, (5, 4): 6}
 # the acceptance sweeps' bounds (tests/test_acceptance.py W1_CORES, W2_CORES)
 SWEEP = {(3, 1): 15, (5, 1): 15, (7, 1): 15, (3, 2): 10, (5, 2): 10, (7, 2): 8}
-POLICIES = ("smallest", "largest")
 # h -> largest partition size: the gate's MEMBER_BOUNDS, and h=9 up to 30
 SIGNATURE_BOUNDS = {3: 22, 5: 30, 7: 36, 9: 30}
 HERE = os.path.dirname(__file__)
@@ -52,13 +51,10 @@ for _name in ("golden_cb.json", "golden_cb_sweep.json"):
 
 
 def corpus(h, weight):
-	"""(key, block, policy) for every corpus entry of one (h, weight)."""
+	"""(key, block) for every corpus entry of one (h, weight)."""
 	cap = {**CORPUS, **SWEEP}[(h, weight)]
 	for core in pt.enumerate_cores(h, cap):
-		block = pt.BlockId(h, core, weight)
-		for policy in POLICIES:
-			key = "%d %s %d %s" % (h, pt.partition_str(core), weight, policy)
-			yield key, block, policy
+		yield "%d %s %d" % (h, pt.partition_str(core), weight), pt.BlockId(h, core, weight)
 
 
 def _sha(obj):
@@ -66,8 +62,8 @@ def _sha(obj):
 	return hashlib.sha256(text.encode()).hexdigest()
 
 
-def digest(block, policy):
-	return _sha(cb.canonical_basis(block, policy).to_json_obj())
+def digest(block):
+	return _sha(cb.canonical_basis(block).to_json_obj())
 
 
 def consumer_digests(h, weight):
@@ -106,14 +102,14 @@ def signature_text(h):
 
 
 def test_corpus_is_complete():
-	keys = [key for hw in {**CORPUS, **SWEEP} for key, _, _ in corpus(*hw)]
+	keys = [key for hw in {**CORPUS, **SWEEP} for key, _ in corpus(*hw)]
 	assert sorted(keys) == sorted(GOLDEN)
 
 
 @pytest.mark.parametrize("h,weight", sorted({**CORPUS, **SWEEP}))
 def test_golden_digests(h, weight):
-	for key, block, policy in corpus(h, weight):
-		assert digest(block, policy) == GOLDEN[key], key
+	for key, block in corpus(h, weight):
+		assert digest(block) == GOLDEN[key], key
 
 
 def _sweep_entry(key):
@@ -147,8 +143,8 @@ def _record(path, table):
 
 
 if __name__ == "__main__":
-	_record(SWEEP_PATH, {key: digest(block, policy) for hw in sorted(SWEEP)
-		for key, block, policy in corpus(*hw)})
+	_record(SWEEP_PATH, {key: digest(block) for hw in sorted(SWEEP)
+		for key, block in corpus(*hw)})
 	_record(CONSUMER_PATH, {key: val for hw in sorted(SWEEP)
 		for key, val in consumer_digests(*hw).items()})
 	_record(SIGNATURE_PATH, {str(h): _sha(signature_text(h))

@@ -95,7 +95,8 @@ def test_canonical_docstring_lists_every_table():
 # states.  canonical.peel_word and fock.monomial_apply need no entry: the
 # bench tracer names them as strings.
 TEST_ONLY = {
-	"Laurent.bar": "the bar involution, which a bar-invariance check needs",
+	"Laurent.bar": "the bar involution, which test_bar_invariance applies to the "
+		"e/f structure constants in the canonical basis",
 	"FockVector.scale": "the divided-power identity f_i^k = [k]_i! f_i^(k)",
 	"exceptional_triples": "the paper's exceptional triples of a linked pair",
 }
