@@ -122,7 +122,7 @@ def bar_positions(lam, block):
 			if nu == block.core:
 				pairs.add((min(rec1, rec2), max(rec1, rec2)))
 	pt.require(len(pairs) == 1,
-		"bar positions depend on removal order for %r: %r", lam, pairs)
+		"bar positions depend on removal order for %s: %r", lam, pairs)
 	return next(iter(pairs))
 
 

@@ -25,6 +25,9 @@ Every process-wide table in the package, with its key and its bound:
   coefficient is checked against `laurent.COEFF_BOUND` when it is first
   interned, which keeps the packed arithmetic exact (see `laurent`);
 - `_CACHE`: matrices by block; unbounded, views of `_STORE`;
+- `partitions._MEMBERS`: block members by (h, size), grouped by bar-core;
+  unbounded, one entry per (h, size) the process reaches, holding every
+  h-strict partition of that size;
 - `partitions._RESIDUE_TABLES`: one residue tuple per h.
 Nothing else in `src/` keeps state between calls.
 """
@@ -60,7 +63,7 @@ def _signature(lam, i, h):
 	last = 0  # columns start at 1
 	for c, r, sym in merged:
 		pt.require(c != last,
-			"addable and removable %d-nodes share a column on %r", i, lam)
+			"addable and removable %d-nodes share a column on %s", i, lam)
 		last = c
 		if sym > 0:
 			conormal.append((r, c))
@@ -84,7 +87,7 @@ def psi(lam, i, h):
 		mu = pt.move_nodes(lam, conorm[: s - r], h, 1)
 	else:
 		mu = pt.move_nodes(lam, norm[s - r:], h, -1)
-	pt.require(mu is not None, "psi_%d: the unmatched nodes of %r do not move "
+	pt.require(mu is not None, "psi_%d: the unmatched nodes of %s do not move "
 		"contiguously to an h-strict partition", i, lam)
 	return mu
 
@@ -103,19 +106,21 @@ def string_top(mu, h):
 		norm = normal_nodes(mu, i, h)
 		if norm:
 			nu = pt.move_nodes(mu, norm, h, -1)
-			pt.require(nu is not None, "peel step: the normal %d-nodes of %r do not "
+			pt.require(nu is not None, "peel step: the normal %d-nodes of %s do not "
 				"move contiguously to an h-strict partition", i, mu)
 			pt.require(pt.is_restricted(nu, h),
-				"peel step left the restricted world: %r -> %r", mu, nu)
+				"peel step left the restricted world: %s -> %s", mu, nu)
 			return nu, i, len(norm)
-	raise pt.InvariantError("nonempty restricted partition with no normal nodes: %r" % (mu,))
+	raise pt.InvariantError("nonempty restricted partition with no normal nodes: %s"
+		% pt.partition_str(mu))
 
 
 def peel_word(mu, h):
 	"""The divided-power word rebuilding mu from the vacuum, first letter
 	applied first."""
 	if not pt.is_restricted(mu, h):
-		raise ValueError("only restricted partitions can be peeled: %r" % (mu,))
+		raise ValueError("only restricted partitions can be peeled: %s"
+			% pt.partition_str(mu))
 	word = []
 	nu = mu
 	while nu:
@@ -147,12 +152,13 @@ class CanonicalBasisMatrix:
 		try:
 			return self.columns[tuple(mu)]
 		except KeyError:
-			raise ValueError("%r is not a column of %s" % (mu, self.block)) from None
+			raise ValueError("%s is not a column of %s"
+				% (pt.partition_str(mu), self.block)) from None
 
 	def entry(self, lam, mu):
 		lam = tuple(lam)
 		if lam not in self._members:
-			raise ValueError("%r is not a row of %s" % (lam, self.block))
+			raise ValueError("%s is not a row of %s" % (pt.partition_str(lam), self.block))
 		return self._column(mu).get(lam, ZERO)
 
 	def column(self, mu):
@@ -257,7 +263,7 @@ def canonical_basis(block):
 	def column(mu):
 		if mu in G:
 			pt.require(G[mu] is not None,
-				"%s: columns depend on each other in a cycle at %r", block, mu)
+				"%s: columns depend on each other in a cycle at %s", block, mu)
 			return G[mu]
 		G[mu] = None  # in progress
 		nu, i, k = string_top(mu, h)
@@ -267,7 +273,7 @@ def canonical_basis(block):
 		lead = terms.get(mu, ZERO)
 		pt.require((lead - ONE).divisible_by_q(),
 			"%s: f_%d^(%d) G%s is not unitriangular (lead %s)",
-			where, i, k, pt.partition_str(nu), lead)
+			where, i, k, nu, lead)
 		heap = sorted(terms)
 		while heap:
 			bad = heapq.heappop(heap)
@@ -275,11 +281,11 @@ def canonical_basis(block):
 			if bad == mu or c is None or c.divisible_by_q():
 				continue
 			pt.require(pt.is_restricted(bad, h),
-				"%s: correction needed at non-restricted %r", where, bad)
+				"%s: correction needed at non-restricted %s", where, bad)
 			s = symmetric_correction(c)
 			for lam, d in column(bad).items():
 				pt.require(lam >= bad,
-					"%s: the correction G%s reaches below itself at %r", where, bad, lam)
+					"%s: the correction G%s reaches below itself at %s", where, bad, lam)
 				if lam not in terms:
 					heapq.heappush(heap, lam)
 				e = terms.get(lam, ZERO) - s * d
@@ -293,16 +299,16 @@ def canonical_basis(block):
 			if lam not in contents:
 				contents[lam] = pt.h_content(lam, h)
 			pt.require(contents[lam] == content,
-				"%s: h-content differs at %r", where, lam)
+				"%s: h-content differs at %s", where, lam)
 			if lam != mu:
 				pt.require(c.divisible_by_q(),
-					"%s: off-diagonal entry at %r not in qZ[q]", where, lam)
+					"%s: off-diagonal entry at %s not in qZ[q]", where, lam)
 				pt.require(pt.dominates(lam, mu),
-					"%s: support fails dominance at %r", where, lam)
+					"%s: support fails dominance at %s", where, lam)
 			kept = coeffs.get(c)
 			if kept is None:
 				pt.require(c.height() <= COEFF_BOUND,
-					"%s: coefficient %s at %r exceeds the bound %d", where, c, lam, COEFF_BOUND)
+					"%s: coefficient %s at %s exceeds the bound %d", where, c, lam, COEFF_BOUND)
 				kept = coeffs[c] = c
 			terms[lam] = kept
 		G[mu] = terms
@@ -320,7 +326,8 @@ def canonical_basis(block):
 	out = CanonicalBasisMatrix(block, parts, {mu: G[mu] for mu in restricted})
 	for mu, terms in out.columns.items():
 		if not out._members.issuperset(terms):
-			raise pt.InvariantError("%s, column %s: leaks outside the block at %r"
-				% (block, pt.partition_str(mu), min(terms.keys() - out._members)))
+			leak = min(terms.keys() - out._members)
+			raise pt.InvariantError("%s, column %s: leaks outside the block at %s"
+				% (block, pt.partition_str(mu), pt.partition_str(leak)))
 	_CACHE[key] = out
 	return out

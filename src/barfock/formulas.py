@@ -41,16 +41,16 @@ def weight1_chain(tau, h):
 	for b in range(n + 1, h):
 		if b not in tau and h - b not in tau:
 			entries.append((b, pt.union(tau, (b, h - b))))
-	pt.require(len(entries) == n + 1, "weight-1 block of wrong size over %r", tau)
+	pt.require(len(entries) == n + 1, "weight-1 block of wrong size over %s", tau)
 	pt.require(len(set(idx for idx, _ in entries)) == n + 1,
-		"weight-1 chain over %r repeats a bar position", tau)
+		"weight-1 chain over %s repeats a bar position", tau)
 	entries.sort()
 	chain = [lam for _, lam in entries]
 	pt.require(pt.dominance_chain(chain) == chain,
-		"weight-1 chain not dominance-sorted over %r", tau)
+		"weight-1 chain not dominance-sorted over %s", tau)
 	for lam in chain[:n]:
 		pt.require(pt.is_restricted(lam, h),
-			"weight-1 chain member %r is not restricted", lam)
+			"weight-1 chain member %s is not restricted", lam)
 	pt.require(not pt.is_restricted(chain[n], h),
 		"top of the weight-1 chain should not be restricted")
 	return chain
@@ -63,7 +63,7 @@ def _weight1(block):
 	h = block.h
 	chain = weight1_chain(block.core, h)
 	pt.require(chain == pt.enumerate_block(block),
-		"weight-1 chain misses block members over %r", block.core)
+		"weight-1 chain misses block members over %s", block.core)
 	columns, labels = {}, {}
 	for mu, lam in zip(chain, chain[1:]):
 		step, label = (q_power(1), "step-h") if h in lam else (q_power(2), "step")
@@ -132,7 +132,7 @@ def special_partitions(tau, h):
 	n = pt.n_of(h)
 	gam = pt.gamma(tau, h)
 	free = [a for a in range(1, n + 1) if a not in tau and h - a not in tau]
-	pt.require(len(free) == n - gam, "free positions of %r do not number n - gamma", tau)
+	pt.require(len(free) == n - gam, "free positions of %s do not number n - gamma", tau)
 
 	named = {}
 	if gam <= n - 2:
@@ -157,9 +157,9 @@ def special_partitions(tau, h):
 		named["yy"] = pt.subtract(pt.union(tau, (b, a)), (b - h, a - h))
 
 	for name, lam in named.items():
-		pt.require(pt.is_h_strict(lam, h), "%s = %r is not h-strict", name, lam)
-		pt.require(pt.bar_core(lam, h) == tau, "%s = %r has the wrong bar core", name, lam)
-		pt.require(pt.size(lam) == pt.size(tau) + 2 * h, "%s = %r has the wrong size", name, lam)
+		pt.require(pt.is_h_strict(lam, h), "%s = %s is not h-strict", name, lam)
+		pt.require(pt.bar_core(lam, h) == tau, "%s = %s has the wrong bar core", name, lam)
+		pt.require(pt.size(lam) == pt.size(tau) + 2 * h, "%s = %s has the wrong size", name, lam)
 	return named
 
 
@@ -176,10 +176,10 @@ def mu_plus(mu, profiles):
 	cands = [lam for lam, p in profiles.items()
 		if (p.spread, p.colour) == (prof.spread, prof.colour)
 		and pt.strictly_dominates(lam, mu)]
-	pt.require(cands, "no like-shaped partition above %r", mu)
+	pt.require(cands, "no like-shaped partition above %s", mu)
 	chain = pt.dominance_chain(cands)
 	pt.require(chain is not None,
-		"like-shaped partitions above %r do not form a chain", mu)
+		"like-shaped partitions above %s do not form a chain", mu)
 	return chain[0]
 
 

@@ -61,7 +61,7 @@ def detect_pairs(sigma, h):
 				kind = "A"  # column ah + i + 1 with a >= 1
 			else:
 				pt.require((c + i) % h == 0,
-					"addable %d-node of %r in column %d fits no pair kind", i, sigma, c)
+					"addable %d-node of %s in column %d fits no pair kind", i, sigma, c)
 				kind = "C"  # column ah - i with a >= 1
 		else:
 			kind = "generic"

@@ -19,9 +19,13 @@ class InvariantError(AssertionError):
 
 
 def require(condition, message, *args):
-	"""Raise InvariantError(message % args) unless condition holds."""
+	"""Raise InvariantError(message % args) unless condition holds.  A
+	tuple argument prints as a partition, (9,5,1), as the CLI prints it;
+	only a failure formats, so a passing check costs no text."""
 	if not condition:
-		raise InvariantError(message % args if args else message)
+		raise InvariantError(message % tuple(
+			partition_str(a) if isinstance(a, tuple) else a for a in args)
+			if args else message)
 
 
 def check_h(h):
@@ -276,14 +280,14 @@ def bar_core(lam, h):
 	for a in lam:
 		surplus[a % h] += 1
 		surplus[-a % h] -= 1
-	require(surplus[0] == 0, "runner 0 out of balance on %r", lam)
+	require(surplus[0] == 0, "runner 0 out of balance on %s", lam)
 	return flush_surplus(surplus, h)
 
 
 def bar_weight(lam, h):
 	core = bar_core(lam, h)
 	excess = size(lam) - size(core)
-	require(excess % h == 0, "%r minus its bar-core %r is not a union of %d-bars",
+	require(excess % h == 0, "%s minus its bar-core %s is not a union of %d-bars",
 		lam, core, h)
 	return excess // h
 
@@ -391,11 +395,27 @@ def _extend_h_strict(out, acc, remaining, maxpart, h):
 		acc.pop()
 
 
+_MEMBERS = {}  # by (h, size): {bar-core: lex-ascending members}
+
+
+def _members_by_core(h, m):
+	"""The h-strict partitions of m grouped by bar-core, each group lex
+	ascending; built from one enumeration and one bar_core per partition."""
+	by_core = _MEMBERS.get((h, m))
+	if by_core is None:
+		by_core = {}
+		for lam in enumerate_h_strict(m, h):
+			by_core.setdefault(bar_core(lam, h), []).append(lam)
+		_MEMBERS[(h, m)] = by_core
+	return by_core
+
+
 def enumerate_cores(h, max_size):
-	"""All bar-cores of size at most max_size, by size then lex."""
+	"""All bar-cores of size at most max_size, by size then lex: the
+	groups of each size whose core has that size."""
 	out = []
 	for m in range(max_size + 1):
-		out.extend(t for t in enumerate_h_strict(m, h) if is_core(t, h))
+		out.extend(sorted(t for t in _members_by_core(h, m) if size(t) == m))
 	return out
 
 
@@ -420,13 +440,11 @@ class BlockId:
 
 def enumerate_block(block):
 	"""All h-strict partitions with the block's core and weight, lex
-	ascending.  Plain filtering of the size-m generator; the scales this
-	library runs at make anything cleverer pointless."""
+	ascending, as a fresh list.  The blocks of one size are the classes of
+	its h-strict partitions under the bar-core, so one grouped pass over
+	the size serves every block of that size."""
 	m = size(block.core) + block.h * block.weight
-	return [
-		lam for lam in enumerate_h_strict(m, block.h)
-		if bar_core(lam, block.h) == block.core
-	]
+	return list(_members_by_core(block.h, m).get(block.core, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,7 @@ class TestColumnStore:
 		# meets is refused, and nothing half-built stays behind
 		monkeypatch.setattr(cb, "COEFF_BOUND", 1)
 		with pytest.raises(pt.InvariantError, match=r"^h=5 core=\(\) w=3, column \(5,5,4,1\): "
-				r"coefficient 2\*q\^2 at \(9, 5, 1\) exceeds the bound 1$"):
+				r"coefficient 2\*q\^2 at \(9,5,1\) exceeds the bound 1$"):
 			cb.canonical_basis(pt.BlockId(5, (), 3))
 		assert None not in cb._STORE[5][0].values()
 
@@ -267,7 +267,7 @@ class TestColumnStore:
 		cb._CACHE.clear()
 		cb._STORE[5][0][mu][(99,)] = ONE
 		with pytest.raises(pt.InvariantError,
-				match=r"^h=5 core=\(1\) w=2, column \(5,3,2,1\): leaks outside the block at \(99,\)$"):
+				match=r"^h=5 core=\(1\) w=2, column \(5,3,2,1\): leaks outside the block at \(99\)$"):
 			cb.canonical_basis(block)
 
 	def test_any_order_same_matrices(self, clean_store, monkeypatch):
@@ -366,8 +366,8 @@ def test_psi_checks_survive_optimised_mode():
 		env=dict(os.environ, PYTHONPATH=src))
 	assert proc.returncode == 0, proc.stderr
 	assert proc.stdout.splitlines() == [
-		"addable and removable 0-nodes share a column on (5, 4, 2, 1)",
-		"psi_0: the unmatched nodes of (5, 4, 2, 1) do not move contiguously "
+		"addable and removable 0-nodes share a column on (5,4,2,1)",
+		"psi_0: the unmatched nodes of (5,4,2,1) do not move contiguously "
 		"to an h-strict partition",
 	]
 

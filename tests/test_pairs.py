@@ -416,8 +416,8 @@ def test_pair_and_formula_checks_survive_optimised_mode():
 	assert proc.returncode == 0, proc.stderr
 	assert proc.stdout.splitlines() == [
 		"signature involution does not permute the triples as expected",
-		"weight-1 chain misses block members over (4, 2)",
+		"weight-1 chain misses block members over (4,2)",
 		"nat column without ppi",
-		"like-shaped partitions above (4, 4, 4) do not form a chain",
+		"like-shaped partitions above (4,4,4) do not form a chain",
 		"exceptional partitions do not form a chain",
 	]

@@ -400,6 +400,54 @@ class TestBlockId:
 		assert pt.enumerate_block(pt.BlockId(5, (), 0)) == [()]
 
 
+class TestMemberTable:
+	"""enumerate_block and enumerate_cores read one table of the h-strict
+	partitions of each (h, size), grouped by bar-core."""
+
+	def test_every_block_matches_a_bar_core_filter(self):
+		for h in (3, 5, 7):
+			for m in range(25):
+				cored = [(lam, pt.bar_core(lam, h)) for lam in pt.enumerate_h_strict(m, h)]
+				cores = sorted({core for _lam, core in cored})
+				assert cores
+				for core in cores:
+					block = pt.BlockId(h, core, (m - pt.size(core)) // h)
+					assert pt.enumerate_block(block) == \
+						[lam for lam, c in cored if c == core], block
+
+	def test_cores_match_an_is_core_filter(self):
+		for h in (3, 5, 7, 9):
+			want = [t for m in range(21) for t in pt.enumerate_h_strict(m, h)
+				if pt.is_core(t, h)]
+			assert pt.enumerate_cores(h, 20) == want
+
+	def test_a_second_block_of_one_size_makes_no_bar_core_calls(self, monkeypatch):
+		first, second = pt.BlockId(5, (4,), 2), pt.BlockId(5, (3, 1), 2)
+		calls = []
+		bar_core = pt.bar_core
+
+		def counted(lam, h):
+			calls.append(lam)
+			return bar_core(lam, h)
+
+		monkeypatch.setattr(pt, "_MEMBERS", {})
+		monkeypatch.setattr(pt, "bar_core", counted)
+		assert pt.enumerate_block(first)
+		assert sorted(calls) == sorted(pt.enumerate_h_strict(14, 5))
+		del calls[:]
+		assert pt.enumerate_block(second)
+		assert calls == []
+
+	def test_returned_lists_are_fresh(self):
+		block = pt.BlockId(5, (1,), 2)
+		got = pt.enumerate_block(block)
+		want = list(got)
+		got.reverse()
+		got.append((99,))
+		assert pt.enumerate_block(block) == want
+		assert pt.enumerate_block(block) is not pt.enumerate_block(block)
+
+
 # ------------------------------------------------------------- core facts
 
 @pytest.mark.parametrize("h", [3, 5, 7])
