@@ -16,25 +16,28 @@ h, shared by every block the oracle builds: each G(mu) is built and
 checked once per process.  A call that fails takes its unfinished columns
 back out of the store.
 
-Every process-wide table in the package, with its key and its bound:
-- `fock._image`, `fock._coefficient`: by (lam, i, k, h, direction) and by
-  (exponent, bar factors); LRU caches of `fock.IMAGE_CACHE_SIZE` each;
-- `_STORE`: columns and interned coefficients by h;
-  unbounded, one column per restricted partition the process reaches.
-  A column is a plain zero-free {lam: coefficient} dict, and a
-  coefficient is checked against `laurent.COEFF_BOUND` when it is first
-  interned, which keeps the packed arithmetic exact (see `laurent`);
-- `_CACHE`: matrices by block; unbounded, views of `_STORE`;
-- `partitions._MEMBERS`: block members by (h, size), grouped by bar-core;
-  unbounded, one entry per (h, size) the process reaches, holding every
-  h-strict partition of that size;
-- `partitions._RESIDUE_TABLES`: one residue tuple per h.
+Every process-wide table is a `functools` cache on the function that
+builds its entries, which holds its key, bound and reset; the exception
+is `_CACHE`, a plain dict that bench/tracer.py's cache probe reads:
+- `fock._image`: f/e images by (lam, i, k, h, direction); the one LRU
+  cache, of `fock.IMAGE_CACHE_SIZE` entries;
+- `fock._coefficient`: by (exponent, bar factors); unbounded (105 at h=7 w=8);
+- `_store`: columns and interned coefficients by h; unbounded, one
+  column per restricted partition the process reaches.  A column is a
+  plain zero-free {lam: coefficient} dict, and a coefficient is checked
+  against `laurent.COEFF_BOUND` when it is first interned, which keeps
+  the packed arithmetic exact (see `laurent`);
+- `_CACHE`: matrices by block; unbounded, views of `_store`;
+- `partitions._members_by_core`: block members by (h, size), grouped by
+  bar-core; unbounded, holding every h-strict partition of each size;
+- `partitions._residue_table`: one residue tuple per h.
 Nothing else in `src/` keeps state between calls.
 """
 
 import csv
 import heapq
 import io
+from functools import cache
 
 from . import fock
 from . import partitions as pt
@@ -220,7 +223,12 @@ class CanonicalBasisMatrix:
 
 
 _CACHE = {}  # finished matrices, by block
-_STORE = {}  # by h: (finished columns by mu, interned coefficients)
+
+
+@cache
+def _store(h):
+	"""h's columns by mu, from the vacuum on, and interned coefficients."""
+	return {(): {(): ONE}}, {}
 
 
 def canonical_basis(block):
@@ -255,9 +263,7 @@ def canonical_basis(block):
 	h = block.h
 	parts = pt.enumerate_block(block)
 	restricted = [p for p in parts if pt.is_restricted(p, h)]
-	if h not in _STORE:
-		_STORE[h] = ({(): {(): ONE}}, {})
-	G, coeffs = _STORE[h]  # coeffs: one object per distinct coefficient
+	G, coeffs = _store(h)  # coeffs: one object per distinct coefficient
 	contents = {}  # h-content per partition: columns share most of their terms
 
 	def column(mu):

@@ -3,11 +3,12 @@
 Subcommands: block, core, cb, formula, diff, verify-pair, predict-spin.
 Everything is deterministic: identical invocations print identical bytes.
 Exit codes: 0 success, 1 usage error, 2 a discrepancy or failed check was
-found, 3 an internal assertion tripped or memory ran out (a cap set with
-BARFOCK_MAX_MB, say; one `error: out of memory` line on stderr, no
-traceback).  A check or a bad value that fails inside `diff` names its
-block (`h=5 core=(1) w=2: ...`), also when it fails in a --jobs worker.  A
-reader that closes stdout early (`barfock cb ... | head`) ends the run
+found, 3 an internal assertion tripped, memory ran out (a cap set with
+BARFOCK_MAX_MB, say) or recursion went too deep (`block --h 3 --size
+4000`); the last two print one `error: ...` line on stderr, no
+traceback.  A check or a bad value that fails inside `diff` names its
+block (`h=5 core=(1) w=2: ...`), also when it fails in a --jobs worker.
+A reader that closes stdout early (`barfock cb ... | head`) ends the run
 quietly with exit 0.
 """
 
@@ -28,11 +29,7 @@ from . import spin
 class _Parser(argparse.ArgumentParser):
 	def error(self, message):
 		self.print_usage(sys.stderr)
-		raise _UsageError(message)
-
-
-class _UsageError(Exception):
-	pass
+		raise ValueError(message)
 
 
 def _partition_arg(text):
@@ -143,7 +140,7 @@ def _print_matrix(mat, form, labels=None):
 		_emit(_json(obj))
 	elif form == "csv":
 		if labels is not None:
-			raise _UsageError("provenance labels are available with "
+			raise ValueError("provenance labels are available with "
 				"--format table or json")
 		_emit(mat.to_csv())
 	else:
@@ -158,15 +155,15 @@ def _print_matrix(mat, form, labels=None):
 
 def _check_weight(weight, cap):
 	if weight < 0:
-		raise _UsageError("negative weight")
+		raise ValueError("negative weight")
 	if weight > cap:
-		raise _UsageError("weight %d exceeds the cap %d (raise --max-weight "
+		raise ValueError("weight %d exceeds the cap %d (raise --max-weight "
 			"if you mean it)" % (weight, cap))
 
 
 def _check_formula_weight(weight):
 	if weight not in (0, 1, 2):
-		raise _UsageError("formulas exist for weights 0, 1, 2")
+		raise ValueError("formulas exist for weights 0, 1, 2")
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +173,17 @@ def _check_formula_weight(weight):
 def cmd_block(args):
 	pt.check_h(args.h)
 	if (args.size is None) == (args.core is None):
-		raise _UsageError("give exactly one of --size or --core/--weight")
+		raise ValueError("give exactly one of --size or --core/--weight")
 	if args.size is not None:
 		if args.weight is not None:
-			raise _UsageError("--weight goes with --core, not --size")
+			raise ValueError("--weight goes with --core, not --size")
 		if args.size < 0:
-			raise _UsageError("--size must be at least 0, got %d" % args.size)
+			raise ValueError("--size must be at least 0, got %d" % args.size)
 		lams = pt.enumerate_h_strict(args.size, args.h)
 		head = {"h": args.h, "size": args.size}
 	else:
 		if args.weight is None:
-			raise _UsageError("--core needs --weight")
+			raise ValueError("--core needs --weight")
 		block = pt.BlockId(args.h, args.core, args.weight)
 		lams = pt.enumerate_block(block)
 		head = {"h": args.h, "core": pt.partition_str(block.core),
@@ -284,9 +281,9 @@ def _cells(mat):
 def cmd_diff(args):
 	_check_formula_weight(args.weight)
 	if args.jobs < 1:
-		raise _UsageError("--jobs must be at least 1, got %d" % args.jobs)
+		raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
 	if args.max_core_size < 0:
-		raise _UsageError("--max-core-size must be at least 0, got %d" % args.max_core_size)
+		raise ValueError("--max-core-size must be at least 0, got %d" % args.max_core_size)
 	jobs = []
 	for h in args.h:
 		for core in pt.enumerate_cores(h, args.max_core_size):
@@ -332,7 +329,7 @@ def cmd_verify_pair(args):
 		if d.i == args.i]
 	if not found:
 		pt.addable_i_nodes(args.source_core, args.i, args.h)  # names 0..n for a bad residue
-		raise _UsageError("%s has no addable %d-nodes, so no pair there"
+		raise ValueError("%s has no addable %d-nodes, so no pair there"
 			% (pt.partition_str(args.source_core), args.i))
 	report = pairs.verify_pair(found[0], args.weight)
 	_emit(_json(report.to_json_obj()))
@@ -414,9 +411,6 @@ def main(argv=None):
 		# the reader has gone; later flushes (at exit, too) go nowhere
 		os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 		return 0
-	except _UsageError as e:
-		sys.stderr.write("error: %s\n" % e)
-		return 1
 	except ValueError as e:
 		sys.stderr.write("error: %s\n" % e)
 		return 1
@@ -427,6 +421,9 @@ def main(argv=None):
 		cap = os.environ.get("BARFOCK_MAX_MB")
 		sys.stderr.write("error: out of memory%s\n"
 			% (" under BARFOCK_MAX_MB=%s" % cap if cap else ""))
+		return 3
+	except RecursionError as e:
+		sys.stderr.write("error: %s\n" % e)
 		return 3
 
 

@@ -32,14 +32,16 @@ dict as it is; the checking constructor is for callers outside.
 """
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 from . import partitions as pt
 from .laurent import Laurent, ONE, ZERO, q_power, _q_i_exponent
 
-# images kept by _image: twice the 6,217 distinct images of the h=7 w=6
-# block, so the largest blocks in use never evict their own working set
+# images kept by _image, the one bounded table: twice the 6,217 distinct
+# images of the h=7 w=6 block, so the largest blocks in use never evict
+# their own working set.  At h=7 w=8 an unbounded _image cut misses from
+# 75,059 to 44,093 with the same wall time and 3-4 MiB more RSS.
 IMAGE_CACHE_SIZE = 1 << 14
 
 _new = object.__new__
@@ -174,7 +176,7 @@ def _image(lam, i, k, h, raising):
 	return tuple(out)
 
 
-@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+@cache
 def _coefficient(e, bs):
 	"""q^e times 1 - (-q^2)^b for each b in bs, one object per value."""
 	coeff = q_power(e)

@@ -10,6 +10,7 @@ Only multiples of h may repeat in an "h-strict" partition, and the
 """
 
 from dataclasses import dataclass
+from functools import cache
 from operator import itemgetter
 
 
@@ -116,16 +117,13 @@ def residue(c, h):
 # through it.
 # ---------------------------------------------------------------------------
 
-_RESIDUE_TABLES = {}
 _BY_COLUMN = itemgetter(1, 0)
 
 
+@cache
 def _residue_table(h):
 	"""The residue of column c, at index c % h."""
-	table = _RESIDUE_TABLES.get(h)
-	if table is None:
-		table = _RESIDUE_TABLES[h] = tuple(residue(c, h) for c in range(h))
-	return table
+	return tuple(residue(c, h) for c in range(h))
 
 
 def _residue_error(i, h):
@@ -308,7 +306,8 @@ def dominates(lam, mu):
 	at the last row of the shorter one.
 	"""
 	if sum(lam) != sum(mu):
-		raise ValueError("dominance needs equal sizes: %r vs %r" % (lam, mu))
+		raise ValueError("dominance needs equal sizes: %s vs %s"
+			% (partition_str(lam), partition_str(mu)))
 	diff = 0
 	for a, b in zip(lam, mu):
 		diff += a - b
@@ -353,7 +352,8 @@ def subtract(lam, mu):
 	rest = list(lam)
 	for a in mu:
 		if a not in rest:
-			raise ValueError("cannot subtract %r from %r" % (mu, lam))
+			raise ValueError("cannot subtract %s from %s"
+				% (partition_str(mu), partition_str(lam)))
 		rest.remove(a)
 	return tuple(sorted(rest, reverse=True))
 
@@ -395,18 +395,13 @@ def _extend_h_strict(out, acc, remaining, maxpart, h):
 		acc.pop()
 
 
-_MEMBERS = {}  # by (h, size): {bar-core: lex-ascending members}
-
-
+@cache
 def _members_by_core(h, m):
 	"""The h-strict partitions of m grouped by bar-core, each group lex
 	ascending; built from one enumeration and one bar_core per partition."""
-	by_core = _MEMBERS.get((h, m))
-	if by_core is None:
-		by_core = {}
-		for lam in enumerate_h_strict(m, h):
-			by_core.setdefault(bar_core(lam, h), []).append(lam)
-		_MEMBERS[(h, m)] = by_core
+	by_core = {}
+	for lam in enumerate_h_strict(m, h):
+		by_core.setdefault(bar_core(lam, h), []).append(lam)
 	return by_core
 
 

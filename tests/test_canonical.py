@@ -208,7 +208,7 @@ def clean_store():
 	"""The column stores and the matrix cache, empty before and after the
 	test."""
 	def clear():
-		cb._STORE.clear()
+		cb._store.cache_clear()
 		cb._CACHE.clear()
 	clear()
 	yield clear
@@ -225,7 +225,7 @@ class TestColumnStore:
 		real = cb.fock.apply_f
 
 		def failing(vec, i, k=1):
-			columns = cb._STORE[block.h][0]
+			columns = cb._store(block.h)[0]
 			pending = sum(c is None for c in columns.values())
 			if pending >= 3 and len(columns) - pending > 10:
 				raise error("synthetic failure")
@@ -233,7 +233,7 @@ class TestColumnStore:
 		monkeypatch.setattr(cb.fock, "apply_f", failing)
 		with pytest.raises(error, match="synthetic failure"):
 			cb.canonical_basis(block)
-		columns = cb._STORE[block.h][0]
+		columns = cb._store(block.h)[0]
 		assert None not in columns.values()
 		assert len(columns) > 10  # columns finished before the failure stay
 		monkeypatch.setattr(cb.fock, "apply_f", real)
@@ -245,7 +245,7 @@ class TestColumnStore:
 		# a block's matrix is a view of the store, not a second copy
 		for block in [pt.BlockId(5, (1,), 2), pt.BlockId(5, (), 3), pt.BlockId(7, (), 2)]:
 			m = cb.canonical_basis(block)
-			store = cb._STORE[block.h][0]
+			store = cb._store(block.h)[0]
 			assert m.cols
 			for mu in m.cols:
 				assert m.columns[mu] is store[mu]
@@ -257,7 +257,7 @@ class TestColumnStore:
 		with pytest.raises(pt.InvariantError, match=r"^h=5 core=\(\) w=3, column \(5,5,4,1\): "
 				r"coefficient 2\*q\^2 at \(9,5,1\) exceeds the bound 1$"):
 			cb.canonical_basis(pt.BlockId(5, (), 3))
-		assert None not in cb._STORE[5][0].values()
+		assert None not in cb._store(5)[0].values()
 
 	def test_leak_check_runs_on_stored_columns(self, clean_store):
 		# a column already in the store is checked against the block that
@@ -265,7 +265,7 @@ class TestColumnStore:
 		block = pt.BlockId(5, (1,), 2)
 		mu = cb.canonical_basis(block).cols[0]
 		cb._CACHE.clear()
-		cb._STORE[5][0][mu][(99,)] = ONE
+		cb._store(5)[0][mu][(99,)] = ONE
 		with pytest.raises(pt.InvariantError,
 				match=r"^h=5 core=\(1\) w=2, column \(5,3,2,1\): leaks outside the block at \(99\)$"):
 			cb.canonical_basis(block)

@@ -285,6 +285,15 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
 	assert "Traceback" not in err
 
 
+def test_recursion_limit_exits_3(capsys):
+	# a 3-strict partition of 4000 can have 1,333 parts, one recursive
+	# call each: past the interpreter's limit, the CLI says so in one line
+	code, out, err = run(capsys, "block", "--h", "3", "--size", "4000")
+	assert code == 3 and out == ""
+	assert err.startswith("error: maximum recursion depth") and err.count("\n") == 1
+	assert "Traceback" not in err
+
+
 def test_verify_pair(capsys):
 	code, out, _ = run(capsys, "verify-pair", "--h", "7",
 		"--source-core", "(8,2,1)", "--i", "1")

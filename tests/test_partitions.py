@@ -317,6 +317,14 @@ class TestOrders:
 		with pytest.raises(ValueError):
 			pt.dominates((3,), (2,))
 
+	def test_errors_write_partitions_as_the_cli_does(self):
+		with pytest.raises(ValueError) as info:
+			pt.dominates((3, 1), (5,))
+		assert str(info.value) == "dominance needs equal sizes: (3,1) vs (5)"
+		with pytest.raises(ValueError) as info:
+			pt.subtract((3, 1), (5, 2))
+		assert str(info.value) == "cannot subtract (5,2) from (3,1)"
+
 	def test_dominates_matches_prefix_sums(self):
 		# the walk against the definition on zero-padded prefix sums:
 		# 1,747 ordered pairs over h = 3, 5 and sizes 0..12
@@ -430,7 +438,7 @@ class TestMemberTable:
 			calls.append(lam)
 			return bar_core(lam, h)
 
-		monkeypatch.setattr(pt, "_MEMBERS", {})
+		pt._members_by_core.cache_clear()
 		monkeypatch.setattr(pt, "bar_core", counted)
 		assert pt.enumerate_block(first)
 		assert sorted(calls) == sorted(pt.enumerate_h_strict(14, 5))

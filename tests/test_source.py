@@ -33,6 +33,12 @@ def _decorator_name(node):
 	return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
+def _cached_functions(tree):
+	return {node.name for node in tree.body
+		if isinstance(node, ast.FunctionDef)
+		and any(_decorator_name(dec) in CACHES for dec in node.decorator_list)}
+
+
 def module_tables(source):
 	"""Module-level names that some statement subscript-assigns, deletes
 	by subscript or mutates through a method, and module-level functions
@@ -44,9 +50,7 @@ def module_tables(source):
 			targets = node.targets if isinstance(node, ast.Assign) else [node.target]
 			names |= {n.id for t in targets for n in ast.walk(t)
 				if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
-	found = {node.name for node in tree.body
-		if isinstance(node, ast.FunctionDef)
-		and any(_decorator_name(dec) in CACHES for dec in node.decorator_list)}
+	found = _cached_functions(tree)
 	for node in ast.walk(tree):
 		if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
 			base = node.value
@@ -76,19 +80,62 @@ def test_table_scan_sees_every_kind_of_table():
 	assert module_tables(planted) == {"A", "B", "C", "g"}
 
 
+def uncached_tables(source):
+	"""The tables of module_tables that are not a cache-decorated function."""
+	return module_tables(source) - _cached_functions(ast.parse(source))
+
+
+def _package_tables(scan):
+	"""scan over every module of the package, as (module, name) pairs."""
+	pkg = os.path.dirname(os.path.abspath(barfock.__file__))
+	found = []
+	for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+		with open(path, encoding="utf-8") as f:
+			found += [(os.path.basename(path)[:-3], name) for name in sorted(scan(f.read()))]
+	return found
+
+
 def test_canonical_docstring_lists_every_table():
 	# the canonical docstring promises the full list of process-wide
 	# tables; a table added anywhere in the package must join it
-	pkg = os.path.dirname(os.path.abspath(barfock.__file__))
 	doc = barfock.canonical.__doc__
-	found = []
-	for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
-		mod = os.path.basename(path)[:-3]
-		with open(path, encoding="utf-8") as f:
-			found += [name if mod == "canonical" else "%s.%s" % (mod, name)
-				for name in sorted(module_tables(f.read()))]
+	found = [name if mod == "canonical" else "%s.%s" % (mod, name)
+		for mod, name in _package_tables(module_tables)]
 	assert found
 	assert [name for name in found if "`%s`" % name not in doc] == []
+
+
+# The one process-wide table that is not a functools cache, and why.
+NOT_A_CACHE = {
+	"canonical._CACHE": "bench/tracer.py's cache probe reads it; ROADMAP item 4 "
+		"removes it",
+}
+
+
+def test_table_policy_scan_sees_a_dict_memo():
+	planted = (
+		"import functools\n"
+		"from functools import lru_cache\n"
+		"_MEMO = {}\n"
+		"def f(k):\n"
+		"\tif k not in _MEMO:\n"
+		"\t\t_MEMO[k] = k\n"
+		"\treturn _MEMO[k]\n"
+		"@functools.cache\n"
+		"def g(k):\n"
+		"\treturn k\n"
+		"@lru_cache(maxsize=4)\n"
+		"def h(k):\n"
+		"\treturn k\n")
+	assert module_tables(planted) == {"_MEMO", "g", "h"}
+	assert uncached_tables(planted) == {"_MEMO"}
+
+
+def test_every_table_is_a_functools_cache():
+	# one cache policy: a table holds its key, bound and reset in the
+	# functools cache on the function that builds its entries
+	found = ["%s.%s" % pair for pair in _package_tables(uncached_tables)]
+	assert found == sorted(NOT_A_CACHE)
 
 
 # Helpers that only tests call but that stay, each for the fact its test
