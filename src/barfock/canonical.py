@@ -24,9 +24,9 @@ is `_CACHE`, a plain dict that bench/tracer.py's cache probe reads:
 - `fock._coefficient`: by (exponent, bar factors); unbounded (105 at h=7 w=8);
 - `_store`: columns and interned coefficients by h; unbounded, one
   column per restricted partition the process reaches.  A column is a
-  plain zero-free {lam: coefficient} dict, and a coefficient is checked
-  against `laurent.COEFF_BOUND` when it is first interned, which keeps
-  the packed arithmetic exact (see `laurent`);
+  plain zero-free {lam: coefficient} dict; coefficients are interned by
+  their packed (lo, p) pair, and each is checked against
+  `laurent.COEFF_BOUND` when it is first interned (see `laurent`);
 - `_CACHE`: matrices by block; unbounded, views of `_store`;
 - `partitions._members_by_core`: block members by (h, size), grouped by
   bar-core; unbounded, holding every h-strict partition of each size;
@@ -41,7 +41,7 @@ from functools import cache
 
 from . import fock
 from . import partitions as pt
-from .laurent import COEFF_BOUND, ONE, ZERO, symmetric_correction
+from .laurent import COEFF_BOUND, ONE, ZERO, add_product, symmetric_correction
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +256,16 @@ def canonical_basis(block):
 	being computed is a dependency cycle and a hard error; its in-progress
 	placeholder is None, and a call that raises removes its placeholders,
 	so the store only ever holds fully checked columns.
+
+	The per-term checks of a finished column read one record per partition
+	per call, built the first time the call meets the partition: its
+	h-content and its prefix sums.  Equal h-content means equal size, so
+	once the content check passes, dominance compares prefix sums
+	(partitions.sums_dominate).  Terms are zero-free, so the qZ[q] test is
+	lo >= 1.  Coefficients are interned by (lo, p); the first time a value
+	is met it is checked against COEFF_BOUND and kept as tight(), with its
+	exact height as its carried bound.  Columns accumulate through
+	laurent.add_product, which builds one value per sum.
 	"""
 	key = (block, "smallest")  # the key bench/tracer.py's cache probe builds
 	if key in _CACHE:
@@ -263,8 +273,14 @@ def canonical_basis(block):
 	h = block.h
 	parts = pt.enumerate_block(block)
 	restricted = [p for p in parts if pt.is_restricted(p, h)]
-	G, coeffs = _store(h)  # coeffs: one object per distinct coefficient
-	contents = {}  # h-content per partition: columns share most of their terms
+	G, coeffs = _store(h)  # coeffs: one object per distinct coefficient, by (lo, p)
+	records = {}  # per partition: (h-content, prefix sums); columns share most terms
+	contents = {}  # one tuple per distinct h-content, shared by the records
+
+	def record(lam):
+		content = pt.h_content(lam, h)
+		rec = records[lam] = (contents.setdefault(content, content), pt.prefix_sums(lam))
+		return rec
 
 	def column(mu):
 		if mu in G:
@@ -275,47 +291,49 @@ def canonical_basis(block):
 		nu, i, k = string_top(mu, h)
 		# apply_f's result is a fresh dict: the column is built in it
 		terms = fock.apply_f(fock.FockVector.wrap(h, column(nu)), i, k).terms
-		where = "%s, column %s" % (block, pt.partition_str(mu))
 		lead = terms.get(mu, ZERO)
 		pt.require((lead - ONE).divisible_by_q(),
-			"%s: f_%d^(%d) G%s is not unitriangular (lead %s)",
-			where, i, k, nu, lead)
+			"%s, column %s: f_%d^(%d) G%s is not unitriangular (lead %s)",
+			block, mu, i, k, nu, lead)
 		heap = sorted(terms)
 		while heap:
 			bad = heapq.heappop(heap)
 			c = terms.get(bad)
-			if bad == mu or c is None or c.divisible_by_q():
+			if bad == mu or c is None or c.lo >= 1:  # terms are zero-free
 				continue
 			pt.require(pt.is_restricted(bad, h),
-				"%s: correction needed at non-restricted %s", where, bad)
-			s = symmetric_correction(c)
+				"%s, column %s: correction needed at non-restricted %s", block, mu, bad)
+			minus_s = -symmetric_correction(c)
 			for lam, d in column(bad).items():
-				pt.require(lam >= bad,
-					"%s: the correction G%s reaches below itself at %s", where, bad, lam)
+				pt.require(lam >= bad, "%s, column %s: the correction G%s reaches "
+					"below itself at %s", block, mu, bad, lam)
 				if lam not in terms:
 					heapq.heappush(heap, lam)
-				e = terms.get(lam, ZERO) - s * d
-				if e:
+				e = add_product(terms.get(lam, ZERO), minus_s, d)
+				if e.p:
 					terms[lam] = e
 				else:
 					del terms[lam]
-		pt.require(terms.get(mu) == ONE, "%s: leading coefficient is not 1", where)
-		content = pt.h_content(mu, h)
+		pt.require(terms.get(mu) == ONE,
+			"%s, column %s: leading coefficient is not 1", block, mu)
+		content, sums = records.get(mu) or record(mu)
 		for lam, c in terms.items():
-			if lam not in contents:
-				contents[lam] = pt.h_content(lam, h)
-			pt.require(contents[lam] == content,
-				"%s: h-content differs at %s", where, lam)
+			rec = records.get(lam) or record(lam)
+			pt.require(rec[0] == content,
+				"%s, column %s: h-content differs at %s", block, mu, lam)
 			if lam != mu:
-				pt.require(c.divisible_by_q(),
-					"%s: off-diagonal entry at %s not in qZ[q]", where, lam)
-				pt.require(pt.dominates(lam, mu),
-					"%s: support fails dominance at %s", where, lam)
-			kept = coeffs.get(c)
+				pt.require(c.lo >= 1,
+					"%s, column %s: off-diagonal entry at %s not in qZ[q]", block, mu, lam)
+				pt.require(pt.sums_dominate(rec[1], sums),
+					"%s, column %s: support fails dominance at %s", block, mu, lam)
+			key = c.lo, c.p
+			kept = coeffs.get(key)
 			if kept is None:
-				pt.require(c.height() <= COEFF_BOUND,
-					"%s: coefficient %s at %s exceeds the bound %d", where, c, lam, COEFF_BOUND)
-				kept = coeffs[c] = c
+				kept = c.tight()  # its bound is its height, so bounds start afresh
+				pt.require(kept.bound <= COEFF_BOUND,
+					"%s, column %s: coefficient %s at %s exceeds the bound %d",
+					block, mu, c, lam, COEFF_BOUND)
+				coeffs[key] = kept
 			terms[lam] = kept
 		G[mu] = terms
 		return terms

@@ -36,7 +36,7 @@ from functools import cache, lru_cache
 from itertools import combinations
 
 from . import partitions as pt
-from .laurent import Laurent, ONE, ZERO, q_power, _q_i_exponent
+from .laurent import Laurent, ONE, ZERO, add_product, q_power, _q_i_exponent
 
 # images kept by _image, the one bounded table: twice the 6,217 distinct
 # images of the h=7 w=6 block, so the largest blocks in use never evict
@@ -146,6 +146,18 @@ def _image(lam, i, k, h, raising):
 	|reach| > 9, so at most C(9, 4) = 126 per image; cold, the
 	oracle_large benchmark blocks try 13,011 subsets for 10,448 targets,
 	and h=3 w=14 tries 206,521 for 132,823.
+
+	The exponent is read off per-node weights, computed once per image.
+	Signing the columns (negating them for e) makes "before" mean "left
+	of" for f and "right of" for e.  A reach node x gets w(x), the reach
+	nodes before it minus the blocking nodes (lam's i-nodes of the other
+	kind) before it.  A node set's exponent counts, for each moved node,
+	the unmoved reach nodes before it minus the blocking ones, which is
+	sum w(x) less one for each pair of moved nodes: k(k-1)/2, provided no
+	two reach nodes share a column, so that one of each pair is strictly
+	before the other.  No addable or removable node set repeats a column
+	(tests/test_partitions.py checks this on every h-strict lam up to size
+	20 at h = 3, 5, 7).
 	"""
 	sign = 1 if raising else -1
 	reach_of, other_of = (pt.addable_i_nodes, pt.removable_i_nodes) if raising \
@@ -153,26 +165,28 @@ def _image(lam, i, k, h, raising):
 	reach = reach_of(lam, i, h)
 	if len(reach) < k:
 		return ()  # fewer than k nodes can move
-	other = other_of(lam, i, h)
-	free = sorted(sign * x for _, x in reach)
-	blocking = sorted(sign * x for _, x in other)
+	blocking = sorted(sign * x for _, x in other_of(lam, i, h))
+	# reach is column-ascending with distinct columns, so the reach nodes
+	# before a node in the direction of travel number its index for f and
+	# the rest of reach for e
+	ranks = range(len(reach)) if raising else range(len(reach) - 1, -1, -1)
+	weight = {node: r - bisect_left(blocking, sign * node[1])
+		for r, node in zip(ranks, reach)}.__getitem__
+	step = _q_i_exponent(i, h)
+	pairs = k * (k - 1) // 2
 	out = []
 	for nodes in combinations(reach, k):
 		mu = pt.move_nodes(lam, nodes, h, sign)
 		if mu is None:
 			continue
-		cols = [x for _, x in nodes]
-		moved = sorted(sign * x for x in cols)
-		s = sum(bisect_left(free, y) - bisect_left(moved, y) - bisect_left(blocking, y)
-			for y in moved)
-		bs = []
+		s = sum(map(weight, nodes)) - pairs
+		bs = ()
 		if i == 0:
-			for x in cols:
-				# the outer column of a pair {mh, mh+1} moved alone
-				mh = x - 1 if raising else x
-				if mh and mh % h == 0 and x - sign not in cols:
-					bs.append(lam.count(mh))
-		out.append((mu, _coefficient(_q_i_exponent(i, h) * s, tuple(sorted(bs)))))
+			cols = [x for _, x in nodes]
+			# the outer column of a pair {mh, mh+1} moved alone
+			mhs = [x - 1 if raising else x for x in cols if x - sign not in cols]
+			bs = tuple(sorted(lam.count(mh) for mh in mhs if mh and mh % h == 0))
+		out.append((mu, _coefficient(step * s, bs)))
 	return tuple(out)
 
 
@@ -195,11 +209,11 @@ def _apply(vec, i, k, raising):
 	if k == 0:
 		return FockVector.wrap(h, dict(vec.terms))
 	acc = {}
+	get = acc.get
 	for lam, c in vec.terms.items():
 		for mu, coeff in _image(lam, i, k, h, raising):
-			nc = c * coeff
-			acc[mu] = acc[mu] + nc if mu in acc else nc
-	return FockVector.wrap(h, {mu: c for mu, c in acc.items() if c})
+			acc[mu] = add_product(get(mu, ZERO), c, coeff)
+	return FockVector.wrap(h, {mu: c for mu, c in acc.items() if c.p})
 
 
 def apply_f(vec, i, k=1):

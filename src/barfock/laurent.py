@@ -13,30 +13,39 @@ so p packs the coefficients as balanced B-bit digits, each in
 [-2^(B-1), 2^(B-1)), lowest exponent first, with the lowest digit nonzero.
 Zero is (0, 0).  A product is (lo1 + lo2, p1 * p2); a sum is one shift and
 one add, then the zero low digits are stripped; divisible_by_q is lo >= 1;
-equality and hashing compare (lo, p).  Only bar, eval_at_one, height,
-items, symmetric_correction, exact_div and str decode the digits.
+equality and hashing compare (lo, p).
+
+Which functions touch the digits.  add_product(a, b, c) = a + b*c is the
+one piece of packed arithmetic: +, - and * are add_product with ZERO, ONE
+or -1 in one place, and fock and canonical call it directly to accumulate
+products without building each product first.  It makes one object per
+result, and when c is +-q^e (every Fock coefficient but the i = 0 ones)
+the product is b's digits with a new lo.  __neg__, shift and tight copy
+p unchanged.  The constructor packs (_pack); bar, eval_at_one, height,
+items, symmetric_correction, exact_div and str decode (_unpack).  No other
+module names _make, _pack, _unpack or the digit width.
 
 Exactness.  Python ints are exact and evaluation at q = 2^B is a ring
 homomorphism, so p is always the exact value at 2^B of q^-lo f, whatever
 the coefficients are.  A balanced base-2^B expansion is unique, so zero
 tests, equality, hashing and decoding are right exactly when every true
 coefficient fits the digit range; one that does not would silently corrupt
-its neighbours.  COEFF_BOUND = 2^16 keeps that far away.  A product of two
-values with coefficients within the bound and at most 2^k terms each has
-coefficients below 2^(32+k), and a sum of 2^m such products stays inside
-the digit range while k + m <= 30.  The canonical-basis oracle builds each
-entry of a column that way: one product per term of G(nu) (a stored
-coefficient times a Fock structure constant, q^e times a few factors
-1 - (-q^2)^b) and one per correction (symmetric_correction's output times
-a stored coefficient).  Exponent spans stay below 2^7 terms and summands
-below 2^14 (twice the rows of the largest block in use), so the margin is
-2^9.  The bound is enforced, raising InvariantError (which survives
-`python -O`), by the public constructor, which symmetric_correction, parse
-and exact_div go through, and by the oracle's store when it first keeps a
-coefficient.  The largest coefficient any block here has shown is 352.
-The arithmetic itself does not re-check: a long chain of products built
-outside the oracle (say (1 + q)^70, whose middle coefficient passes 2^63)
-is exact only while its coefficients fit the digit range.
+its neighbours.  Two bounds keep that from happening, and both raise
+InvariantError, which survives `python -O`:
+- every value carries `bound`, an upper bound on the absolute value of its
+  coefficients.  The constructor sets it to the largest coefficient given;
+  add_product carries it, h1 + h2 for a sum and h1 * h2 * min(len1, len2)
+  for a product, where len is the number of digits, at least the number
+  of terms that meet in one coefficient.  add_product raises once the
+  result's bound would reach 2^(B-1), before any digit can leave the
+  range: multiplying by 1 + q again and again raises at (1 + q)^64, where
+  (1 + q)^67 is the first power whose middle coefficient does not fit;
+- COEFF_BOUND = 2^16 bounds every coefficient given to the public
+  constructor (and so symmetric_correction, parse and exact_div) and every
+  coefficient the oracle keeps: canonical checks it when its store first
+  interns a coefficient, and keeps tight(), whose bound is the exact
+  height, so carried bounds start afresh in every column.  The largest
+  coefficient any block here has shown is 352.
 
 >>> f = parse("q + q^-1")
 >>> print(f * f)
@@ -50,7 +59,7 @@ from .partitions import InvariantError
 
 __all__ = [
     "Laurent", "ZERO", "ONE", "COEFF_BOUND",
-    "q_power", "parse", "exact_div", "symmetric_correction",
+    "add_product", "q_power", "parse", "exact_div", "symmetric_correction",
 ]
 
 COEFF_BOUND = 1 << 16  # largest |coefficient| the constructor and the store accept
@@ -60,13 +69,14 @@ _HALF = 1 << (_B - 1)
 
 
 class Laurent:
-	"""A Laurent polynomial in q over the integers, packed as (lo, p).
+	"""A Laurent polynomial in q over the integers, packed as (lo, p), with
+	`bound`, an upper bound on the absolute value of its coefficients.
 
 	Immutable: no method mutates self, and the packed form is canonical,
-	so equality and hashing are structural.
+	so equality and hashing are structural; the bound takes no part.
 	"""
 
-	__slots__ = ("lo", "p")
+	__slots__ = ("lo", "p", "bound")
 
 	def __init__(self, coeffs=None):
 		if coeffs is None:
@@ -75,56 +85,46 @@ class Laurent:
 			coeffs = {0: coeffs}
 		elif not isinstance(coeffs, dict):
 			raise TypeError("coeffs must be an int or a dict exponent -> int")
+		bound = 0
 		for e, v in coeffs.items():
 			if not isinstance(e, int) or not isinstance(v, int):
 				raise TypeError("coeffs must map int exponents to int values")
 			if abs(v) > COEFF_BOUND:
 				raise InvariantError("coefficient %d of q^%d exceeds the bound %d"
 					% (v, e, COEFF_BOUND))
+			bound = max(bound, abs(v))
 		lo, p = _pack(coeffs)
 		_set_lo(self, lo)
 		_set_p(self, p)
+		_set_bound(self, bound)
 
 	def __setattr__(self, name, value):
 		raise AttributeError("Laurent values are immutable")
 
-	# ---- ring structure ----
+	# ---- ring structure: all of it is add_product ----
 
 	def __add__(self, other):
 		if other.__class__ is not Laurent:
 			other = _coerce(other)
-		p, q = self.p, other.p
-		if not q:
-			return self
-		if not p:
-			return other
-		d = other.lo - self.lo
-		if d > 0:  # self's lowest digit stays the lowest
-			return _make(self.lo, p + (q << _B * d))
-		if d < 0:
-			return _make(other.lo, q + (p << -_B * d))
-		p += q
-		if not p:
-			return ZERO
-		zeros = ((p & -p).bit_length() - 1) // _B  # low digits that cancelled
-		return _make(self.lo + zeros, p >> _B * zeros)
+		return add_product(self, other, ONE)
 
 	__radd__ = __add__
 
 	def __neg__(self):
-		return _make(self.lo, -self.p)
+		return _make(self.lo, -self.p, self.bound)
 
 	def __sub__(self, other):
-		return self + (-_coerce(other))
+		if other.__class__ is not Laurent:
+			other = _coerce(other)
+		return add_product(self, other, _MINUS_ONE)
 
 	def __rsub__(self, other):
-		return _coerce(other) + (-self)
+		return add_product(_coerce(other), self, _MINUS_ONE)
 
 	def __mul__(self, other):
 		if other.__class__ is not Laurent:
 			other = _coerce(other)
-		p = self.p * other.p
-		return _make(self.lo + other.lo, p) if p else ZERO
+		return add_product(ZERO, self, other)
 
 	__rmul__ = __mul__
 
@@ -146,11 +146,12 @@ class Laurent:
 
 	def shift(self, m):
 		"""Multiply by q^m."""
-		return _make(self.lo + m, self.p) if self.p else ZERO
+		return _make(self.lo + m, self.p, self.bound) if self.p else ZERO
 
 	def bar(self):
 		"""The involution q -> q^-1."""
-		return _make(*_pack({-e: v for e, v in self.items()}))
+		lo, p = _pack({-e: v for e, v in self.items()})
+		return _make(lo, p, self.bound)
 
 	def eval_at_one(self):
 		return sum(_unpack(self.p))
@@ -162,6 +163,11 @@ class Laurent:
 	def height(self):
 		"""The largest absolute value of a coefficient (0 for zero)."""
 		return max(map(abs, _unpack(self.p)), default=0)
+
+	def tight(self):
+		"""This value, with its carried bound lowered to its height."""
+		height = self.height()
+		return self if height == self.bound else _make(self.lo, self.p, height)
 
 	def items(self):
 		"""(exponent, coefficient) pairs with nonzero coefficient, ascending."""
@@ -193,16 +199,65 @@ class Laurent:
 _new = object.__new__
 _set_lo = Laurent.__dict__["lo"].__set__
 _set_p = Laurent.__dict__["p"].__set__
+_set_bound = Laurent.__dict__["bound"].__set__
 
 
-def _make(lo, p):
-	"""The Laurent (lo, p), which must be normalised: (0, 0), or p with a
-	nonzero lowest digit.  The arithmetic builds only such pairs, so it
-	skips the constructor."""
+def _make(lo, p, bound):
+	"""The Laurent (lo, p) with the given bound on its coefficients; (lo, p)
+	must be normalised: (0, 0), or p with a nonzero lowest digit.  The
+	arithmetic builds only such pairs, so it skips the constructor."""
 	out = _new(Laurent)
 	_set_lo(out, lo)
 	_set_p(out, p)
+	_set_bound(out, bound)
 	return out
+
+
+def add_product(a, b, c):
+	"""a + b*c, as one new object (a itself when b*c is zero, and b when a
+	is zero and c is 1).
+
+	When c is +-q^e the product is b's digits with exponent lo_b + e, and
+	b's bound is the product's.  Otherwise the product's bound is
+	bound_b * bound_c * min(len_b, len_c), len counting digits, and a sum
+	adds the bounds.  Raises InvariantError if the result's bound would
+	reach the digit range (see the module docstring).
+	"""
+	p, cp = b.p, c.p
+	if cp == 1:
+		bound = b.bound
+	elif cp == -1:
+		p = -p
+		bound = b.bound
+	else:
+		bound = b.bound * c.bound * (min(p.bit_length(), cp.bit_length()) // _B + 1)
+		p *= cp
+	if not p:
+		return a
+	lo = b.lo + c.lo
+	ap = a.p
+	if ap:
+		bound += a.bound
+		d = lo - a.lo
+		if d > 0:  # a's lowest digit stays the lowest
+			p = ap + (p << _B * d)
+			lo = a.lo
+		elif d < 0:
+			p += ap << -_B * d
+		else:
+			p += ap
+			if not p:
+				return ZERO
+			zeros = ((p & -p).bit_length() - 1) // _B  # low digits that cancelled
+			if zeros:
+				lo += zeros
+				p >>= _B * zeros
+	elif cp == 1 and not c.lo:
+		return b
+	if bound >= _HALF:
+		raise InvariantError("a coefficient bound of %d reaches 2^%d: the packed "
+			"digits could overflow" % (bound, _B - 1))
+	return _make(lo, p, bound)
 
 
 def _pack(coeffs):
@@ -246,12 +301,13 @@ def _coerce(x):
 	raise TypeError("cannot mix Laurent with %r" % type(x).__name__)
 
 
-ZERO = _make(0, 0)
-ONE = _make(0, 1)
+ZERO = _make(0, 0, 0)
+ONE = _make(0, 1, 1)
+_MINUS_ONE = _make(0, -1, 1)
 
 
 def q_power(m):
-	return _make(m, 1)
+	return _make(m, 1, 1)
 
 
 _TERM = re.compile(r"^(?:(-?\d+)\*)?(?:(-)?q(?:\^(-?\d+))?)?$")

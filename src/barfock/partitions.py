@@ -11,7 +11,8 @@ Only multiples of h may repeat in an "h-strict" partition, and the
 
 from dataclasses import dataclass
 from functools import cache
-from operator import itemgetter
+from itertools import accumulate
+from operator import ge, itemgetter
 
 
 class InvariantError(AssertionError):
@@ -142,7 +143,9 @@ def removable_i_nodes(lam, i, h):
 			low = old - 2 if old >= 2 and res[(old - 1) % h] == i else old - 1
 			for w in range(low, old):
 				if w > below or (w == below and w % h == 0):
-					nodes.extend((r + 1, c) for c in range(w + 1, old + 1))
+					nodes.append((r + 1, old))
+					if w < old - 1:
+						nodes.append((r + 1, old - 1))
 					v = w
 					break
 		below = v
@@ -165,7 +168,9 @@ def addable_i_nodes(lam, i, h):
 			high = old + 2 if res[(old + 2) % h] == i else old + 1
 			for w in range(high, old, -1):
 				if w < above or (w == above and w % h == 0):
-					nodes.extend((r + 1, c) for c in range(old + 1, w + 1))
+					nodes.append((r + 1, old + 1))
+					if w > old + 1:
+						nodes.append((r + 1, w))
 					v = w
 					break
 		above = v
@@ -176,13 +181,16 @@ def addable_i_nodes(lam, i, h):
 
 
 def move_nodes(lam, nodes, h, sign):
-	"""lam with the given (row, col) nodes, ascending by column, added
-	(sign 1) or removed (sign -1); None unless each row's nodes extend
-	(truncate) it contiguously at its right edge and the result is h-strict.
+	"""The h-strict lam with the given (row, col) nodes, ascending by
+	column, added (sign 1) or removed (sign -1); None unless each row's
+	nodes extend (truncate) it contiguously at its right edge and the
+	result is h-strict.
 
 	Nodes are added in ascending and removed in descending column order, so
 	each must sit just past (on) its row's current edge; a node may open
-	the row just below the last one.
+	the row just below the last one.  lam is h-strict, so only the pairs of
+	adjacent rows that touch a moved row need checking.  An emptied row
+	must lie below every nonempty one (0 repeats, as a multiple of h).
 	"""
 	lengths = list(lam)
 	for r, c in nodes if sign > 0 else reversed(nodes):
@@ -191,10 +199,21 @@ def move_nodes(lam, nodes, h, sign):
 		if not 0 < r <= len(lengths) or c != lengths[r - 1] + (sign > 0):
 			return None
 		lengths[r - 1] += sign
-	# emptied rows must be the last ones: 0 repeats, as a multiple of h
-	if any(a <= b and (a < b or a % h) for a, b in zip(lengths, lengths[1:])):
-		return None
-	return tuple(v for v in lengths if v)
+	rows = len(lengths)
+	for r, _ in nodes:
+		a = lengths[r - 1]
+		if r > 1:
+			above = lengths[r - 2]
+			if above < a or (above == a and a % h):
+				return None
+		if r < rows:
+			below = lengths[r]
+			if a < below or (a == below and a % h):
+				return None
+	if sign < 0:
+		while lengths and not lengths[-1]:
+			lengths.pop()
+	return tuple(lengths)
 
 
 def h_content(lam, h):
@@ -202,16 +221,20 @@ def h_content(lam, h):
 
 	Each run of h columns holds residues 0..n-1 twice and n once; of the
 	r = part % h columns left over, residue j sits in column j + 1 and, for
-	j < n, in column h - j.
+	j < n, in column h - j.  So residue j < n counts two per run, one per
+	part with r > j and one per part with r >= h - j; residue n counts one
+	per run and one per part with r > n.
 	"""
 	n = n_of(h)
-	counts = [0] * (n + 1)
+	tally = [0] * (h + 1)  # parts by r; r = h never occurs
+	runs = 0
 	for part in lam:
-		runs, r = divmod(part, h)
-		for j in range(n):
-			counts[j] += 2 * runs + (r > j) + (r >= h - j)
-		counts[n] += runs + (r > n)
-	return tuple(counts)
+		q, r = divmod(part, h)
+		runs += q
+		tally[r] += 1
+	at_least = list(accumulate(reversed(tally)))[::-1]  # parts with r >= t, at t
+	return tuple([2 * runs + at_least[j + 1] + at_least[h - j] for j in range(n)]
+		+ [runs + at_least[n + 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +331,18 @@ def dominates(lam, mu):
 	if sum(lam) != sum(mu):
 		raise ValueError("dominance needs equal sizes: %s vs %s"
 			% (partition_str(lam), partition_str(mu)))
-	diff = 0
-	for a, b in zip(lam, mu):
-		diff += a - b
-		if diff < 0:
-			return False
-	return True
+	return sums_dominate(prefix_sums(lam), prefix_sums(mu))
+
+
+def prefix_sums(lam):
+	"""lam's prefix sums, which is all that dominance reads of it."""
+	return tuple(accumulate(lam))
+
+
+def sums_dominate(a, b):
+	"""The dominance rule on the prefix sums of two partitions of equal
+	size, which a caller that compares one partition many times keeps."""
+	return all(map(ge, a, b))
 
 
 def strictly_dominates(lam, mu):

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import barfock.partitions as pt
 from barfock.laurent import (
-	Laurent, ZERO, ONE, COEFF_BOUND, q_power, parse, exact_div,
+	Laurent, ZERO, ONE, COEFF_BOUND, add_product, q_power, parse, exact_div,
 	symmetric_correction, _q_i_exponent,
 )
 
@@ -206,13 +206,14 @@ half_maps = st.dictionaries(st.integers(min_value=-90, max_value=90),
 
 
 class TestPackedAgainstDicts:
-	@given(maps, maps, st.integers(min_value=-100, max_value=100))
-	def test_operations(self, a, b, m):
+	@given(maps, maps, maps, st.integers(min_value=-100, max_value=100))
+	def test_operations(self, a, b, c, m):
 		fa, fb = Laurent(a), Laurent(b)
 		assert as_map(fa) == ref_clean(a)
 		assert as_map(fa + fb) == ref_add(a, b)
 		assert as_map(fa - fb) == ref_add(a, {e: -v for e, v in b.items()})
 		assert as_map(fa * fb) == ref_mul(a, b)
+		assert as_map(add_product(fa, fb, Laurent(c))) == ref_add(a, ref_mul(b, c))
 		assert as_map(fa.shift(m)) == {e + m: v for e, v in ref_clean(a).items()}
 		assert as_map(fa.bar()) == {-e: v for e, v in ref_clean(a).items()}
 		assert as_map(symmetric_correction(fa)) == ref_symmetric(a)
@@ -255,14 +256,45 @@ class TestPackedAgainstDicts:
 			parse("1 + %d*q^2" % (COEFF_BOUND + 1))
 
 
+def power_chain(base, n):
+	"""ONE times base, n times over."""
+	out = ONE
+	for _ in range(n):
+		out = out * base
+	return out
+
+
+def test_long_products_raise_before_a_digit_overflows():
+	# C(67, 33) passes 2^63: packed unchecked, (1 + q)^67 would read a
+	# wrong middle coefficient; the carried bound refuses it first
+	one_plus_q = Laurent({0: 1, 1: 1})
+	assert dict(power_chain(one_plus_q, 60).items())[30] == 118264581564861424
+	with pytest.raises(pt.InvariantError, match="could overflow"):
+		power_chain(one_plus_q, 67)
+	# the bound of (1 + q)^63 is 2^62, so one more factor, or a sum of two,
+	# raises too, through add_product as through the operators
+	big = power_chain(one_plus_q, 63)
+	with pytest.raises(pt.InvariantError, match="could overflow"):
+		add_product(ZERO, big, one_plus_q)
+	with pytest.raises(pt.InvariantError, match="could overflow"):
+		big + big
+
+
 def test_bound_survives_optimised_mode():
-	# python -O strips asserts, but not the coefficient bound
+	# python -O strips asserts, but not the coefficient bound, nor the
+	# carried bound of a long product chain
 	script = textwrap.dedent("""
 		import barfock.partitions as pt
-		from barfock.laurent import Laurent, COEFF_BOUND
+		from barfock.laurent import Laurent, COEFF_BOUND, ONE
 		assert False, "reached only without -O"
 		try:
 			Laurent({3: -COEFF_BOUND - 1})
+		except pt.InvariantError as e:
+			print(e)
+		out = ONE
+		try:
+			for _ in range(67):
+				out = out * Laurent({0: 1, 1: 1})
 		except pt.InvariantError as e:
 			print(e)
 	""")
@@ -271,4 +303,6 @@ def test_bound_survives_optimised_mode():
 		capture_output=True, text=True, timeout=120,
 		env=dict(os.environ, PYTHONPATH=src))
 	assert proc.returncode == 0, proc.stderr
-	assert proc.stdout == "coefficient -65537 of q^3 exceeds the bound 65536\n"
+	assert proc.stdout == "coefficient -65537 of q^3 exceeds the bound 65536\n" \
+		"a coefficient bound of 9223372036854775808 reaches 2^63: the packed digits " \
+		"could overflow\n"

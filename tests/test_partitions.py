@@ -504,3 +504,48 @@ def test_move_nodes_accepts_only_contiguous_h_strict_moves():
 	assert pt.move_nodes((3, 2), [(2, 3), (2, 4)], 5, 1) is None  # (3, 4)
 	assert pt.move_nodes((2, 1), [(1, 1), (1, 2)], 5, -1) is None  # emptied row 1
 
+
+def reference_move(lam, nodes, h, sign):
+	"""move_nodes by its definition: each row's nodes extend (truncate) it
+	contiguously at its right edge, at most one new row opens below the
+	last, and the whole result, emptied rows included, weakly decreases
+	and is h-strict."""
+	lengths = list(lam) + [0]
+	by_row = {}
+	for r, c in nodes:
+		by_row.setdefault(r, []).append(c)
+	for r, cols in by_row.items():
+		if not 0 < r <= len(lengths):
+			return None
+		base = lengths[r - 1]
+		run = range(base + 1, base + len(cols) + 1) if sign > 0 \
+			else range(base - len(cols) + 1, base + 1)
+		if sorted(cols) != list(run):
+			return None
+		lengths[r - 1] += sign * len(cols)
+	if any(a < b for a, b in zip(lengths, lengths[1:])) or not pt.is_h_strict(lengths, h):
+		return None
+	return tuple(v for v in lengths if v)
+
+
+@pytest.mark.parametrize("h", [3, 5, 7])
+def test_move_nodes_matches_its_definition(h):
+	# every subset of every node set up to size 20: move_nodes checks only
+	# the rows that moved, and must agree with a whole-result check; and
+	# no node set repeats a column, which fock's per-node exponent weights
+	# rest on
+	sets = subsets = 0
+	for m in range(21):
+		for lam in pt.enumerate_h_strict(m, h):
+			for i in range(pt.n_of(h) + 1):
+				for walk, sign in ((pt.addable_i_nodes, 1), (pt.removable_i_nodes, -1)):
+					nodes = walk(lam, i, h)
+					columns = [c for _, c in nodes]
+					assert len(set(columns)) == len(columns), (lam, i, sign)
+					sets += 1
+					for k in range(len(nodes) + 1):
+						for chosen in itertools.combinations(nodes, k):
+							assert pt.move_nodes(lam, chosen, h, sign) == \
+								reference_move(lam, chosen, h, sign), (lam, chosen, sign)
+							subsets += 1
+	assert sets and subsets > sets

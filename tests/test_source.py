@@ -23,6 +23,57 @@ def test_no_assert_statements():
 	assert found == []
 
 
+# the packed (lo, p) form of a Laurent value: only laurent builds, reads
+# or sizes the digits
+PACKED = {"_make", "_pack", "_unpack", "_B", "_HALF"}
+
+
+def packed_names(source):
+	"""The PACKED names a module reads, imports or defines, as a name, an
+	attribute or an imported alias."""
+	found = set()
+	for node in ast.walk(ast.parse(source)):
+		if isinstance(node, ast.Name):
+			found.add(node.id)
+		elif isinstance(node, ast.Attribute):
+			found.add(node.attr)
+		elif isinstance(node, ast.alias):
+			found.update({node.name, node.asname})
+		elif isinstance(node, ast.FunctionDef):
+			found.add(node.name)
+	return found & PACKED
+
+
+def test_packed_scan_sees_every_kind_of_use():
+	planted = (
+		"from .laurent import _make\n"
+		"from . import laurent as L\n"
+		"import barfock.laurent\n"
+		"def f(c):\n"
+		"\treturn L._pack({0: 1}), barfock.laurent._unpack(c.p)\n"
+		"def g(c):\n"
+		"\treturn c.p << _B, '_HALF', c.lo\n")
+	assert packed_names(planted) == {"_make", "_pack", "_unpack", "_B"}
+	assert packed_names("from .laurent import _HALF as half\n") == {"_HALF"}
+
+
+def test_only_laurent_touches_the_packed_form():
+	# fock and canonical accumulate through laurent.add_product and read
+	# only the public lo and p; the digits' width and builders stay in
+	# laurent, so the exactness bounds there hold for every value
+	pkg = os.path.dirname(os.path.abspath(barfock.__file__))
+	paths = sorted(glob.glob(os.path.join(pkg, "*.py")))
+	found = []
+	for path in paths:
+		with open(path, encoding="utf-8") as f:
+			names = packed_names(f.read())
+		if os.path.basename(path) == "laurent.py":
+			assert names == PACKED  # the rule names what laurent has
+		else:
+			found += ["%s: %s" % (os.path.basename(path), name) for name in sorted(names)]
+	assert found == []
+
+
 MUTATORS = {"setdefault", "update", "append", "extend", "insert", "add",
 	"pop", "popitem", "clear", "remove", "discard"}
 CACHES = {"lru_cache", "cache"}
