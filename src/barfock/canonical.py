@@ -167,29 +167,24 @@ class CanonicalBasisMatrix:
 	def column(self, mu):
 		return fock.FockVector(self.block.h, self._column(mu))
 
-	@property
-	def entries(self):
-		"""The row-major grid, zeros included; built on every read."""
-		cols = [self.columns[mu] for mu in self.cols]
-		return tuple(tuple(col.get(lam, ZERO) for col in cols) for lam in self.rows)
-
 	def __eq__(self, other):
 		return isinstance(other, CanonicalBasisMatrix) and \
 			(self.block, self.rows, self.cols, self.columns) == \
 			(other.block, other.rows, other.cols, other.columns)
 
-	def _text_rows(self, zero="0"):
-		"""The grid as text, row by row, zero entries as `zero`; each
-		distinct coefficient is rendered once."""
+	def grid(self, render, zero):
+		"""The dense grid, one list per row, filled from the sparse columns:
+		render(c) where a column holds c, `zero` elsewhere, each distinct c
+		rendered once.  The text forms, spin and cli's diff all read it."""
 		row_of = {lam: r for r, lam in enumerate(self.rows)}
 		grid = [[zero] * len(self.cols) for _ in self.rows]
 		memo = {}
 		for j, mu in enumerate(self.cols):
 			for lam, c in self.columns[mu].items():
-				text = memo.get(c)
-				if text is None:
-					text = memo[c] = str(c)
-				grid[row_of[lam]][j] = text
+				value = memo.get(c)
+				if value is None:
+					value = memo[c] = render(c)
+				grid[row_of[lam]][j] = value
 		return grid
 
 	def to_json_obj(self):
@@ -199,14 +194,14 @@ class CanonicalBasisMatrix:
 			"weight": self.block.weight,
 			"rows": [pt.partition_str(r) for r in self.rows],
 			"cols": [pt.partition_str(c) for c in self.cols],
-			"entries": self._text_rows(),
+			"entries": self.grid(str, "0"),
 		}
 
 	def to_csv(self):
 		buf = io.StringIO()
 		w = csv.writer(buf, lineterminator="\n")
 		w.writerow([""] + [pt.partition_str(c) for c in self.cols])
-		for lam, row in zip(self.rows, self._text_rows()):
+		for lam, row in zip(self.rows, self.grid(str, "0")):
 			w.writerow([pt.partition_str(lam)] + row)
 		return buf.getvalue()
 
@@ -214,7 +209,7 @@ class CanonicalBasisMatrix:
 		"""Aligned table; zero entries print as a centred dot."""
 		head = [""] + [pt.partition_str(c) for c in self.cols]
 		body = [[pt.partition_str(lam)] + row
-			for lam, row in zip(self.rows, self._text_rows(zero="·"))]
+			for lam, row in zip(self.rows, self.grid(str, "·"))]
 		widths = [max(len(line[j]) for line in [head] + body) for j in range(len(head))]
 		lines = []
 		for line in [head] + body:

@@ -92,7 +92,9 @@ def build_parser():
 		help="comma-separated list, e.g. 3,5,7")
 	p.add_argument("--weight", type=int, required=True)
 	p.add_argument("--max-core-size", type=int, required=True)
-	p.add_argument("--jobs", type=int, default=1)
+	p.add_argument("--jobs", type=int, default=1,
+		help="worker processes, at most one per block and per usable CPU "
+		"(default 1: no workers)")
 	p.add_argument("--format", choices=("table", "json"), default="table")
 
 	p = sub.add_parser("verify-pair", help="run all checks on one linked pair "
@@ -274,7 +276,7 @@ def _diff_one(job):
 
 def _cells(mat):
 	"""mat's entries as text, keyed by (row, column)."""
-	return {(lam, mu): str(v) for lam, row in zip(mat.rows, mat.entries)
+	return {(lam, mu): v for lam, row in zip(mat.rows, mat.grid(str, "0"))
 		for mu, v in zip(mat.cols, row)}
 
 
@@ -288,9 +290,14 @@ def cmd_diff(args):
 	for h in args.h:
 		for core in pt.enumerate_cores(h, args.max_core_size):
 			jobs.append((h, core, args.weight))
-	if args.jobs > 1:
+	# the pool forks all its workers at once, and each one builds its own
+	# column store: more workers than blocks or CPUs only add memory
+	cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+		else os.cpu_count() or 1
+	workers = min(args.jobs, len(jobs), cpus)
+	if workers > 1:
 		from concurrent.futures import ProcessPoolExecutor
-		with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+		with ProcessPoolExecutor(max_workers=workers) as ex:
 			results = list(ex.map(_diff_one, jobs))
 	else:
 		results = [_diff_one(j) for j in jobs]

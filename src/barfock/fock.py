@@ -36,12 +36,14 @@ from functools import cache, lru_cache
 from itertools import combinations
 
 from . import partitions as pt
-from .laurent import Laurent, ONE, ZERO, add_product, q_power, _q_i_exponent
+from .laurent import Laurent, ONE, ZERO, add_product, q_power
 
 # images kept by _image, the one bounded table: twice the 6,217 distinct
-# images of the h=7 w=6 block, so the largest blocks in use never evict
-# their own working set.  At h=7 w=8 an unbounded _image cut misses from
-# 75,059 to 44,093 with the same wall time and 3-4 MiB more RSS.
+# images of the h=7 w=6 block.  Unbounded, one h=7 w=9 block misses 107,424
+# times, not 324,476, in 20.6-21.3 s, not 23.5-26.5 s, at 211 MiB, not 215;
+# but `diff --weight 2 --max-core-size 30 --h 3,5,...,15` (2,499 blocks)
+# has the same 138,492 hits and 123,302 misses either way, in 23.1-27.0 s
+# against 26.3-28.0 s, and peaks at 128.5 MiB, not 103.5: so it stays.
 IMAGE_CACHE_SIZE = 1 << 14
 
 _new = object.__new__
@@ -123,6 +125,13 @@ class FockVector:
 
 	def __repr__(self):
 		return "FockVector(h=%d, %s)" % (self.h, self)
+
+
+def _q_i_exponent(i, h):
+	"""q_i's exponent; _image's node-set walks refuse i outside 0..n first."""
+	if i == 0:
+		return 1
+	return 4 if i == pt.n_of(h) else 2
 
 
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)

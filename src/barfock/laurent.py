@@ -381,18 +381,6 @@ def exact_div(f, g):
 	return Laurent(quot).shift(f.lo - g.lo)
 
 
-def _q_i_exponent(i, h):
-	"""The power of q that plays the role of q_i for residue i."""
-	n = (h - 1) // 2
-	if not 0 <= i <= n:
-		raise ValueError("residue %d out of range for h=%d" % (i, h))
-	if i == 0:
-		return 1
-	if i == n:
-		return 4
-	return 2
-
-
 def symmetric_correction(f):
 	"""The unique bar-invariant g with f - g in qZ[q].
 

@@ -11,6 +11,7 @@ when d(1) is 0); an odd half_power is flagged rather than approximated.
 from dataclasses import dataclass
 
 from . import partitions as pt
+from .laurent import Laurent
 
 
 def parity(lam):
@@ -71,8 +72,7 @@ def predict_matrix(matrix):
 	"""Predictions for every entry of a decomposition matrix, row-major."""
 	h = matrix.block.h
 	out = []
-	for lam, row in zip(matrix.rows, matrix.entries):
+	for lam, row in zip(matrix.rows, matrix.grid(Laurent.eval_at_one, 0)):
 		x = x_h(lam, h)
-		out.extend(SpinPrediction(lam, mu, d.eval_at_one(), x)
-			for mu, d in zip(matrix.cols, row))
+		out.extend(SpinPrediction(lam, mu, d, x) for mu, d in zip(matrix.cols, row))
 	return out

@@ -13,7 +13,7 @@ import barfock.partitions as pt
 import barfock.canonical as cb
 from barfock.laurent import ONE, ZERO, parse
 
-from test_acceptance import W1_CORES, W2_CORES
+from test_acceptance import W1_CORES, W2_CORES, _w1_blocks, _w2_blocks, dense
 from test_bar_invariance import bar_failures
 
 
@@ -138,7 +138,7 @@ class TestOracle:
 	def test_weight_zero(self):
 		m = cb.canonical_basis(pt.BlockId(5, (3, 1), 0))
 		assert m.rows == ((3, 1),) and m.cols == ((3, 1),)
-		assert m.entries == ((ONE,),)
+		assert dense(m) == [[ONE]]
 
 	def test_entry_and_column_outside_the_matrix_raise(self):
 		m = cb.canonical_basis(pt.BlockId(5, (1,), 2))
@@ -179,8 +179,28 @@ class TestOracle:
 			["0", "q^2", "0", "q^3", "0"],
 			["0", "q^4", "0", "0", "0"],
 		]
-		got = [[str(e) for e in row] for row in m.entries]
+		got = m.grid(str, "0")
 		assert got == want
+
+	def test_grid_is_the_dense_matrix(self):
+		# every weight-1 and weight-2 block of the gate, against a cell-by-cell
+		# read of the sparse columns
+		seen = 0
+		for block in list(_w1_blocks()) + list(_w2_blocks()):
+			m = cb.canonical_basis(block)
+			want = [[m.columns[mu].get(lam, ZERO) for mu in m.cols] for lam in m.rows]
+			calls = []
+
+			def render(c):
+				calls.append(c)
+				return c
+
+			assert m.grid(render, ZERO) == want, block
+			# each distinct coefficient is rendered once
+			assert len(calls) == len(set(calls)) == \
+				len({c for col in m.columns.values() for c in col.values()})
+			seen += 1
+		assert seen == 106
 
 	@pytest.mark.parametrize("block", [
 		pt.BlockId(5, (), 2),
@@ -191,8 +211,9 @@ class TestOracle:
 	def test_cb_axioms(self, block):
 		m = cb.canonical_basis(block)
 		content = pt.h_content(m.rows[0], block.h)
+		grid = dense(m)
 		for j, mu in enumerate(m.cols):
-			for lam, row in zip(m.rows, m.entries):
+			for lam, row in zip(m.rows, grid):
 				d = row[j]
 				if lam == mu:
 					assert d == ONE

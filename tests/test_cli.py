@@ -230,6 +230,47 @@ def test_diff_failure_named_once(monkeypatch):
 		cli._diff_one((5, (1,), 2))
 
 
+class FakePool:
+	"""Stands in for ProcessPoolExecutor: records max_workers and maps in
+	process, so no worker is started."""
+
+	made = []
+
+	def __init__(self, max_workers):
+		FakePool.made.append(max_workers)
+
+	def __enter__(self):
+		return self
+
+	def __exit__(self, *exc):
+		return False
+
+	def map(self, fn, jobs):
+		return map(fn, jobs)
+
+
+# `diff --h 3,5 --weight 1 --max-core-size 4` runs 3 + 7 = 10 blocks
+@pytest.mark.parametrize("jobs,cpus,workers", [
+	(2, 4, 2),  # --jobs is the least
+	(500, 64, 10),  # the blocks are
+	(8, 3, 3),  # the usable CPUs are
+	(1, 4, None),  # one worker: no pool, the blocks run in process
+	(4, 1, None),
+])
+def test_diff_workers_are_capped(capsys, monkeypatch, jobs, cpus, workers):
+	import concurrent.futures
+	argv = ("diff", "--h", "3,5", "--weight", "1", "--max-core-size", "4")
+	expect = run(capsys, *argv, "--jobs", "1")
+	monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+	monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+		raising=False)
+	monkeypatch.setattr(FakePool, "made", [])
+	assert run(capsys, *argv, "--jobs", str(jobs)) == expect
+	assert expect[:2] == (0, "all blocks agree (10 blocks, weight 1, h in 3,5, "
+		"cores up to 4)\n")
+	assert FakePool.made == ([] if workers is None else [workers])
+
+
 @pytest.mark.parametrize("jobs", ["0", "-4"])
 def test_diff_jobs_below_one_is_usage_error(capsys, jobs):
 	code, out, err = run(capsys, "diff", "--h", "3", "--weight", "1",

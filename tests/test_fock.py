@@ -125,6 +125,16 @@ class TestOperatorLaws:
 		with pytest.raises(ValueError, match=r"^divided powers need k >= 0, got k=-2$"):
 			op(v, 1, -2)
 
+	@pytest.mark.parametrize("op", [fock.apply_f, fock.apply_e])
+	@pytest.mark.parametrize("h,lam", [(3, (4, 2)), (5, (5, 4)), (7, (8, 3, 1))])
+	def test_residue_outside_0_to_n_is_refused(self, op, h, lam):
+		# the node-set walks refuse it before any exponent is read
+		n = pt.n_of(h)
+		for i in (-1, n + 1):
+			with pytest.raises(ValueError,
+					match=r"^residue %d out of range 0\.\.%d for h=%d$" % (i, n, h)):
+				op(basis(h, lam), i, 1)
+
 
 class TestVectorBasics:
 	def test_algebra(self):

@@ -11,8 +11,9 @@ from hypothesis import given, strategies as st
 import barfock.partitions as pt
 from barfock.laurent import (
 	Laurent, ZERO, ONE, COEFF_BOUND, add_product, q_power, parse, exact_div,
-	symmetric_correction, _q_i_exponent,
+	symmetric_correction,
 )
+from barfock.fock import _q_i_exponent
 
 Q = q_power(1)
 
