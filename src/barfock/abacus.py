@@ -54,9 +54,10 @@ class AbacusDisplay:
 		return d
 
 	def grid(self):
-		"""Debug rendering: rows of h symbols, 'b' bead / 'n' space / 'x'
-		origin, digits for stacked beads.  One vacuum row above and one
-		empty row below, like the pictures this is imitating."""
+		"""The `--show-abacus` picture: rows of h symbols, 'b' bead, 'n' space,
+		'x' origin; a part mh repeated t times draws t (stacked beads) at mh
+		and '!' at -mh, whose count 1 - t is negative ('!' also for 10 or
+		more beads).  One vacuum row above and one empty row below."""
 		h, n = self.h, pt.n_of(self.h)
 		span = [p for p in self.delta] + [h, -h]
 		kmin = min((p + n) // h for p in span) - 1
@@ -77,7 +78,7 @@ class AbacusDisplay:
 				elif 2 <= occ <= 9:
 					row.append(str(occ))
 				else:
-					row.append("!")  # formal over/under-flow; debug only
+					row.append("!")  # a negative count, or more than 9 beads
 			lines.append("".join(row))
 		return "\n".join(lines)
 

@@ -34,9 +34,7 @@ is `_CACHE`, a plain dict that bench/tracer.py's cache probe reads:
 Nothing else in `src/` keeps state between calls.
 """
 
-import csv
 import heapq
-import io
 from functools import cache
 
 from . import fock
@@ -175,7 +173,8 @@ class CanonicalBasisMatrix:
 	def grid(self, render, zero):
 		"""The dense grid, one list per row, filled from the sparse columns:
 		render(c) where a column holds c, `zero` elsewhere, each distinct c
-		rendered once.  The text forms, spin and cli's diff all read it."""
+		rendered once.  to_json_obj, cli's diff and cli._print_matrix, the
+		one printer of a matrix, read it as text; spin reads it at q = 1."""
 		row_of = {lam: r for r, lam in enumerate(self.rows)}
 		grid = [[zero] * len(self.cols) for _ in self.rows]
 		memo = {}
@@ -196,25 +195,6 @@ class CanonicalBasisMatrix:
 			"cols": [pt.partition_str(c) for c in self.cols],
 			"entries": self.grid(str, "0"),
 		}
-
-	def to_csv(self):
-		buf = io.StringIO()
-		w = csv.writer(buf, lineterminator="\n")
-		w.writerow([""] + [pt.partition_str(c) for c in self.cols])
-		for lam, row in zip(self.rows, self.grid(str, "0")):
-			w.writerow([pt.partition_str(lam)] + row)
-		return buf.getvalue()
-
-	def to_text(self):
-		"""Aligned table; zero entries print as a centred dot."""
-		head = [""] + [pt.partition_str(c) for c in self.cols]
-		body = [[pt.partition_str(lam)] + row
-			for lam, row in zip(self.rows, self.grid(str, "·"))]
-		widths = [max(len(line[j]) for line in [head] + body) for j in range(len(head))]
-		lines = []
-		for line in [head] + body:
-			lines.append("  ".join(cell.rjust(w) for cell, w in zip(line, widths)).rstrip())
-		return "\n".join(lines)
 
 
 _CACHE = {}  # finished matrices, by block

@@ -9,10 +9,12 @@ BARFOCK_MAX_MB, say) or recursion went too deep (`block --h 3 --size
 traceback.  A check or a bad value that fails inside `diff` names its
 block (`h=5 core=(1) w=2: ...`), also when it fails in a --jobs worker.
 A reader that closes stdout early (`barfock cb ... | head`) ends the run
-quietly with exit 0.
+quietly with exit 0.  `_print_matrix` is the one printer of a matrix
+(`cb`, `formula`); the library modules hand it data and print nothing.
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -132,6 +134,9 @@ def _json(obj):
 
 
 def _print_matrix(mat, form, labels=None):
+	"""The one printer of a matrix: json, or a header of column labels over
+	labelled rows, written a row at a time as csv or as a right-aligned
+	table (zero "·", widths from one pass, labels listed below)."""
 	if form == "json":
 		obj = mat.to_json_obj()
 		if labels is not None:
@@ -140,19 +145,25 @@ def _print_matrix(mat, form, labels=None):
 				for (lam, mu), lab in sorted(labels.items())
 			]
 		_emit(_json(obj))
-	elif form == "csv":
-		if labels is not None:
-			raise ValueError("provenance labels are available with "
-				"--format table or json")
-		_emit(mat.to_csv())
-	else:
-		_emit(mat.to_text())
-		if labels is not None:
-			_emit("")
-			_emit("provenance:")
-			for (lam, mu), lab in sorted(labels.items()):
-				_emit("  %s <- %s: %s" %
-					(pt.partition_str(lam), pt.partition_str(mu), lab))
+		return
+	if form == "csv" and labels is not None:
+		raise ValueError("provenance labels are available with "
+			"--format table or json")
+	lines = mat.grid(str, "0" if form == "csv" else "·")
+	for lam, line in zip(mat.rows, lines):
+		line.insert(0, pt.partition_str(lam))
+	lines.insert(0, [""] + [pt.partition_str(mu) for mu in mat.cols])
+	if form == "csv":
+		csv.writer(sys.stdout, lineterminator="\n").writerows(lines)
+		return
+	widths = [max(map(len, column)) for column in zip(*lines)]
+	for line in lines:
+		_emit("  ".join(map(str.rjust, line, widths)).rstrip())
+	if labels is not None:
+		_emit("\nprovenance:")
+		for (lam, mu), lab in sorted(labels.items()):
+			_emit("  %s <- %s: %s" %
+				(pt.partition_str(lam), pt.partition_str(mu), lab))
 
 
 def _check_weight(weight, cap):
@@ -174,6 +185,8 @@ def _check_formula_weight(weight):
 
 def cmd_block(args):
 	pt.check_h(args.h)
+	if args.show_abacus and args.format != "table":
+		raise ValueError("--show-abacus goes with --format table")
 	if (args.size is None) == (args.core is None):
 		raise ValueError("give exactly one of --size or --core/--weight")
 	if args.size is not None:
@@ -210,6 +223,8 @@ def cmd_block(args):
 
 def cmd_core(args):
 	h = pt.check_h(args.h)
+	if args.show_abacus and args.format != "table":
+		raise ValueError("--show-abacus goes with --format table")
 	lam = args.partition
 	core = pt.bar_core(lam, h)
 	weight = pt.bar_weight(lam, h)

@@ -69,6 +69,23 @@ class TestDisplay:
 		assert a.occupancy(5) == 2
 		assert a.occupancy(-5) == -1	# formal: t empty spaces at -ah
 
+	def test_repeated_multiples_of_h(self):
+		# (10,5,5) at h=5: two beads stack at 5, drawn as the digit 2; the
+		# vacuum bead at -5 goes twice, leaving the formal count -1, drawn
+		# as '!'; 10 holds one bead and -10 none
+		a = ab.from_partition((10, 5, 5), 5)
+		want = "\n".join([
+			"bbbbb",
+			"bbnbb",
+			"bb!bb",
+			"bbxnn",
+			"nn2nn",
+			"nnbnn",
+			"nnnnn",
+		])
+		assert a.grid() == want
+		assert (a.occupancy(5), a.occupancy(-5)) == (2, -1)
+
 	def test_roundtrip_exhaustive(self):
 		for h in (3, 5):
 			for m in range(0, 13):

@@ -424,20 +424,6 @@ def test_oracle_images_and_enumeration_leave_no_cyclic_garbage():
 
 
 class TestRenderings:
-	def test_text_uses_dot_for_zero(self):
-		m = cb.canonical_basis(pt.BlockId(5, (1,), 2))
-		text = m.to_text()
-		assert "·" in text and "q^2 + q^4" in text
-
-	def test_csv_parses_back(self):
-		import csv as csvmod
-		import io
-		m = cb.canonical_basis(pt.BlockId(7, (4, 2), 1))
-		rows = list(csvmod.reader(io.StringIO(m.to_csv())))
-		assert rows[0][1:] == [pt.partition_str(c) for c in m.cols]
-		assert rows[1][0] == pt.partition_str(m.rows[0])
-		assert rows[1][1] == "1"
-
 	def test_json_shape(self):
 		m = cb.canonical_basis(pt.BlockId(5, (1,), 2))
 		obj = m.to_json_obj()

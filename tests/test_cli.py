@@ -1,6 +1,8 @@
 """End-to-end command-line checks, run in process via cli.main (and in a
 subprocess where the process itself matters: a closed stdout)."""
 
+import csv
+import io
 import json
 import os
 import pickle
@@ -66,6 +68,18 @@ def test_block_negative_size_is_usage_error(capsys, size):
 	assert "--size" in err and "at least 0" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [
+	("block", "--h", "5", "--core", "(1)", "--weight", "1"),
+	("core", "--h", "5", "--partition", "(5,5)"),
+])
+def test_show_abacus_outside_table_is_usage_error(capsys, argv, fmt):
+	# json and csv have no place for the picture; it used to vanish silently
+	code, out, err = run(capsys, *argv, "--show-abacus", "--format", fmt)
+	assert code == 1 and out == ""
+	assert err.count("error:") == 1 and "--show-abacus" in err and "table" in err
+
+
 def test_core_command(capsys):
 	code, out, _ = run(capsys, "core", "--h", "5", "--partition", "(9,6,3,1)")
 	assert code == 0
@@ -103,6 +117,23 @@ def test_cb_table_and_determinism(capsys):
 		"--weight", "2")
 	assert code == 0
 	assert out1 == out2
+
+
+def test_cb_table_uses_dot_for_zero(capsys):
+	code, out, _ = run(capsys, "cb", "--h", "5", "--core", "(1)", "--weight", "2")
+	assert code == 0
+	assert "·" in out and "q^2 + q^4" in out
+
+
+def test_cb_csv_parses_back(capsys):
+	code, out, _ = run(capsys, "cb", "--h", "7", "--core", "(4,2)",
+		"--weight", "1", "--format", "csv")
+	assert code == 0
+	m = barfock.canonical.canonical_basis(pt.BlockId(7, (4, 2), 1))
+	rows = list(csv.reader(io.StringIO(out)))
+	assert rows[0][1:] == [pt.partition_str(c) for c in m.cols]
+	assert rows[1][0] == pt.partition_str(m.rows[0])
+	assert rows[1][1] == "1"
 
 
 def test_cb_weight_cap(capsys):

@@ -367,6 +367,73 @@ def test_each_shape_field_is_read_by_the_checks_that_state_it(monkeypatch, key, 
 		assert failed[name].startswith(prefix), (name, failed[name])
 
 
+def _swap(monkeypatch, x, y, in_psi=True):
+	"""Let fock.apply_f, and pairs.psi unless in_psi is false, act on y
+	where they meet x and on x where they meet y."""
+	swap = {x: y, y: x}
+	real_f, real_psi = pr.fock.apply_f, pr.psi
+	monkeypatch.setattr(pr.fock, "apply_f", lambda vec, i, k: real_f(
+		pr.fock.FockVector(vec.h, {swap.get(lam, lam): c for lam, c in vec.items()}), i, k))
+	if in_psi:
+		monkeypatch.setattr(pr, "psi", lambda lam, i, h: real_psi(swap.get(lam, lam), i, h))
+
+
+def _add_to_e_image(monkeypatch, lam):
+	"""Let fock.apply_e put lam itself into lam's e-image."""
+	real_e = pr.fock.apply_e
+	monkeypatch.setattr(pr.fock, "apply_e", lambda vec, i, k: real_e(vec, i, k) + (
+		pr.fock.FockVector.basis(vec.h, lam) if vec.support() == [lam] else
+		pr.fock.FockVector(vec.h)))
+
+
+# a mutant that breaks one fact the named check states, on a pair with
+# exceptional triples ((8,2,1) at h=7, i=1) or an equivalent one ((2,) at
+# h=5, i=2): the check that fails, and how its detail begins
+MUTANTS = {
+	"no-single-source": (((8, 2, 1), 7, 1),
+		lambda mp, d: _add_to_e_image(mp, (15, 9, 1)),
+		"exceptional-e-identities",
+		"no single source below the triple: [(15, 8, 1), (15, 9, 1)]"),
+	"image-not-restricted": (((8, 2, 1), 7, 1),
+		lambda mp, d: _swap(mp, (8, 7, 4, 3, 2, 1), (15, 4, 3, 2, 1)),
+		"column-patterns",
+		"involution image of column (8,7,4,3,2,1) is not restricted"),
+	"partner-column": (((8, 2, 1), 7, 1),
+		lambda mp, d: _swap(mp, (8, 7, 4, 3, 2, 1), (8, 7, 7, 2, 1)),
+		"column-patterns",
+		"partner column (9,7,7,2,1) does not match the pattern table"),
+	"unexceptional-transport": (((8, 2, 1), 7, 1),
+		lambda mp, d: _swap(mp, (15, 4, 3, 2, 1), (15, 7, 2, 1)),
+		"column-patterns",
+		"unexceptional transport fails at ((15,4,3,2,1), (11,8,3,2,1))"),
+	"f-image": (((8, 2, 1), 7, 1),
+		lambda mp, d: _swap(mp, (8, 7, 4, 3, 2, 1), (15, 4, 3, 2, 1), in_psi=False),
+		"unexceptional-f-transport",
+		"f-image of unexceptional (8,7,4,3,2,1) is "),
+	"addable-count": (((2,), 5, 2),
+		lambda mp, d: dataclasses.replace(d, k=d.k + 1),
+		"unexceptional-f-transport",
+		"(5,4,2,1) has the wrong number of addable nodes"),
+	"matrix-transport": (((2,), 5, 2),
+		lambda mp, d: _swap(mp, (9, 2, 1), (10, 2)),
+		"matrix-transport",
+		"matrices differ at ((9,2,1), (5,5,2))"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_each_named_check_fails_on_its_mutant(monkeypatch, name):
+	# the unmutated pair passes, with its matrices built before any
+	# operator is mutated; the mutant then fails exactly one check
+	(core, h, i), mutate, check, detail = MUTANTS[name]
+	d = [x for x in pr.detect_pairs(core, h) if x.i == i][0]
+	assert pr.verify_pair(d, 2).ok
+	d = mutate(monkeypatch, d) or d
+	failed = {n: dd for n, status, dd in pr.verify_pair(d, 2).checks if status == "fail"}
+	assert list(failed) == [check]
+	assert failed[check].startswith(detail), failed[check]
+
+
 def test_pair_and_formula_checks_survive_optimised_mode():
 	# python -O strips asserts, but not these checks: a psi that fixes
 	# everything breaks the triples' permutation, a reversed weight-1 chain

@@ -74,6 +74,51 @@ def test_only_laurent_touches_the_packed_form():
 	assert found == []
 
 
+# output formats and the stream belong to cli: its _print_matrix is the
+# one printer of a matrix, and the other modules hand it data
+PRINTER = {"csv", "io", "json", "sys.stdout"}
+
+
+def printer_uses(source):
+	"""The PRINTER names a module uses: csv, io or json imported (whole,
+	in part or from), and sys.stdout read or imported."""
+	found = set()
+	for node in ast.walk(ast.parse(source)):
+		if isinstance(node, ast.Import):
+			found.update(alias.name.split(".")[0] for alias in node.names)
+		elif isinstance(node, ast.ImportFrom) and node.level == 0:
+			found.add(node.module.split(".")[0])
+			found.update(node.module + "." + alias.name for alias in node.names)
+		elif isinstance(node, ast.Attribute) and node.attr == "stdout" \
+				and isinstance(node.value, ast.Name) and node.value.id == "sys":
+			found.add("sys.stdout")
+	return found & PRINTER
+
+
+def test_printer_scan_sees_every_kind_of_use():
+	planted = (
+		"import csv\n"
+		"import io as stream\n"
+		"from json import dumps\n"
+		"from . import io_helpers\n"
+		"import sys\n"
+		"def f(x):\n"
+		"\tsys.stdout.write(x)\n"
+		"\treturn sys.stderr, 'csv', x.stdout\n")
+	assert printer_uses(planted) == {"csv", "io", "json", "sys.stdout"}
+	assert printer_uses("from sys import stdout as out\n") == {"sys.stdout"}
+	assert printer_uses("import json.decoder, csvkit\n") == {"json"}
+	assert printer_uses("from .io import x\nimport sys\nsys.stderr\n") == set()
+
+
+def test_only_cli_prints():
+	# canonical and the other library modules offer data views; which
+	# format a matrix prints in, and where it goes, is decided in cli
+	found = ["%s: %s" % pair for pair in _scan_package(printer_uses)
+		if pair[0] != "cli"]
+	assert found == []
+
+
 MUTATORS = {"setdefault", "update", "append", "extend", "insert", "add",
 	"pop", "popitem", "clear", "remove", "discard"}
 CACHES = {"lru_cache", "cache"}
@@ -136,7 +181,7 @@ def uncached_tables(source):
 	return module_tables(source) - _cached_functions(ast.parse(source))
 
 
-def _package_tables(scan):
+def _scan_package(scan):
 	"""scan over every module of the package, as (module, name) pairs."""
 	pkg = os.path.dirname(os.path.abspath(barfock.__file__))
 	found = []
@@ -151,7 +196,7 @@ def test_canonical_docstring_lists_every_table():
 	# tables; a table added anywhere in the package must join it
 	doc = barfock.canonical.__doc__
 	found = [name if mod == "canonical" else "%s.%s" % (mod, name)
-		for mod, name in _package_tables(module_tables)]
+		for mod, name in _scan_package(module_tables)]
 	assert found
 	assert [name for name in found if "`%s`" % name not in doc] == []
 
@@ -185,7 +230,7 @@ def test_table_policy_scan_sees_a_dict_memo():
 def test_every_table_is_a_functools_cache():
 	# one cache policy: a table holds its key, bound and reset in the
 	# functools cache on the function that builds its entries
-	found = ["%s.%s" % pair for pair in _package_tables(uncached_tables)]
+	found = ["%s.%s" % pair for pair in _scan_package(uncached_tables)]
 	assert found == sorted(NOT_A_CACHE)
 
 
