@@ -35,6 +35,7 @@ Nothing else in `src/` keeps state between calls.
 """
 
 import heapq
+from array import array
 from functools import cache
 
 from . import fock
@@ -137,7 +138,8 @@ class CanonicalBasisMatrix:
 	Rows are all block members lex ascending, columns the restricted ones
 	lex ascending; columns maps each mu, in that order, to the zero-free
 	{lam: coefficient} of G(mu).  The oracle's columns are the store's own
-	dicts, so nothing may change them.
+	dicts, so nothing may change them.  Every dense reader goes through
+	one row walk, dense_rows, which never holds the dense grid.
 	"""
 
 	__slots__ = ("block", "rows", "cols", "columns", "_members")
@@ -170,31 +172,59 @@ class CanonicalBasisMatrix:
 			(self.block, self.rows, self.cols, self.columns) == \
 			(other.block, other.rows, other.cols, other.columns)
 
-	def grid(self, render, zero):
-		"""The dense grid, one list per row, filled from the sparse columns:
-		render(c) where a column holds c, `zero` elsewhere, each distinct c
-		rendered once.  to_json_obj, cli's diff and cli._print_matrix, the
-		one printer of a matrix, read it as text; spin reads it at q = 1."""
+	def dense_rows(self, render, zero):
+		"""The dense matrix a row at a time, in `rows` order: a fresh list
+		per row holding render(c) where a column holds c and `zero`
+		elsewhere, each distinct c rendered once.  The walk is set up once
+		from the sparse columns, in O(nonzeros): two flat arrays, row after
+		row, of each nonzero cell's column index and the index of its
+		rendered value, so no dense grid and no object per cell is held.
+		to_json_obj, spin, and cli's printers and diff read it."""
 		row_of = {lam: r for r, lam in enumerate(self.rows)}
-		grid = [[zero] * len(self.cols) for _ in self.rows]
-		memo = {}
-		for j, mu in enumerate(self.cols):
-			for lam, c in self.columns[mu].items():
-				value = memo.get(c)
-				if value is None:
-					value = memo[c] = render(c)
-				grid[row_of[lam]][j] = value
-		return grid
+		ends = array("I", [0]) * (len(self.rows) + 1)  # ends[r + 1]: cells in rows 0..r
+		for column in self.columns.values():
+			for lam in column:
+				ends[row_of[lam] + 1] += 1
+		for r in range(len(self.rows)):
+			ends[r + 1] += ends[r]
+		free = ends[:-1]  # each row's next free cell
+		where = array("I", [0]) * ends[-1]
+		which = array("I", [0]) * ends[-1]
+		shown, ids = [], {}  # rendered values, and each one's index by coefficient
+		for j, column in enumerate(self.columns.values()):
+			for lam, c in column.items():
+				r = row_of[lam]
+				k = free[r]
+				free[r] = k + 1
+				i = ids.get(c)
+				if i is None:
+					i = ids[c] = len(shown)
+					shown.append(render(c))
+				where[k] = j
+				which[k] = i
+		del row_of, free, ids
+		for r in range(len(self.rows)):
+			row = [zero] * len(self.cols)
+			a, b = ends[r], ends[r + 1]
+			for j, i in zip(where[a:b], which[a:b]):
+				row[j] = shown[i]
+			yield row
 
-	def to_json_obj(self):
+	def json_head(self):
+		"""to_json_obj without its entries: the block and the row and column
+		labels."""
 		return {
 			"h": self.block.h,
 			"core": pt.partition_str(self.block.core),
 			"weight": self.block.weight,
 			"rows": [pt.partition_str(r) for r in self.rows],
 			"cols": [pt.partition_str(c) for c in self.cols],
-			"entries": self.grid(str, "0"),
 		}
+
+	def to_json_obj(self):
+		obj = self.json_head()
+		obj["entries"] = list(self.dense_rows(str, "0"))
+		return obj
 
 
 _CACHE = {}  # finished matrices, by block

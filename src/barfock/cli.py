@@ -10,7 +10,11 @@ traceback.  A check or a bad value that fails inside `diff` names its
 block (`h=5 core=(1) w=2: ...`), also when it fails in a --jobs worker.
 A reader that closes stdout early (`barfock cb ... | head`) ends the run
 quietly with exit 0.  `_print_matrix` is the one printer of a matrix
-(`cb`, `formula`); the library modules hand it data and print nothing.
+(`cb`, `formula`) and `_print_predictions` prints `predict-spin`; the
+library modules hand them data and print nothing.  Both read the matrix
+through its row walk (`dense_rows`) and write one row at a time in every
+format, so neither holds a dense grid or the whole text: the oracle, not
+the printer, sets a run's peak memory.
 """
 
 import argparse
@@ -26,6 +30,7 @@ from . import formulas
 from . import pairs
 from . import partitions as pt
 from . import spin
+from .laurent import Laurent
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,32 +138,56 @@ def _json(obj):
 	return json.dumps(obj, indent=2)
 
 
+def _json_members(obj):
+	"""The members of json.dumps(obj, indent=2), its braces cut: lines at
+	depth 1, ready to stand inside a larger object."""
+	return _json(obj)[2:-2]
+
+
 def _print_matrix(mat, form, labels=None):
-	"""The one printer of a matrix: json, or a header of column labels over
-	labelled rows, written a row at a time as csv or as a right-aligned
-	table (zero "·", widths from one pass, labels listed below)."""
-	if form == "json":
-		obj = mat.to_json_obj()
-		if labels is not None:
-			obj["provenance"] = [
-				[pt.partition_str(lam), pt.partition_str(mu), lab]
-				for (lam, mu), lab in sorted(labels.items())
-			]
-		_emit(_json(obj))
-		return
+	"""The one printer of a matrix, one write per row: json (the bytes of
+	json.dumps(mat.to_json_obj(), indent=2), provenance after the entries),
+	or a header of column labels over labelled rows, as csv or as a
+	right-aligned table (zero "·", each column as wide as its label and
+	its distinct values, labels listed below)."""
 	if form == "csv" and labels is not None:
 		raise ValueError("provenance labels are available with "
 			"--format table or json")
-	lines = mat.grid(str, "0" if form == "csv" else "·")
-	for lam, line in zip(mat.rows, lines):
-		line.insert(0, pt.partition_str(lam))
-	lines.insert(0, [""] + [pt.partition_str(mu) for mu in mat.cols])
-	if form == "csv":
-		csv.writer(sys.stdout, lineterminator="\n").writerows(lines)
+	out = sys.stdout
+	if form == "json":
+		out.write("{\n" + _json_members(mat.json_head()) + ',\n  "entries": [')
+		sep = "\n    "  # every block has a member and a restricted one
+		for row in mat.dense_rows(lambda c: _json(str(c)), '"0"'):
+			out.write(sep + "[\n      " + ",\n      ".join(row) + "\n    ]")
+			sep = ",\n    "
+		out.write("\n  ]")
+		if labels is not None:
+			out.write(",\n" + _json_members({"provenance": [
+				[pt.partition_str(lam), pt.partition_str(mu), lab]
+				for (lam, mu), lab in sorted(labels.items())]}))
+		out.write("\n}\n")
 		return
-	widths = [max(map(len, column)) for column in zip(*lines)]
-	for line in lines:
-		_emit("  ".join(map(str.rjust, line, widths)).rstrip())
+	if form == "csv":  # labels are made as they are written
+		writer = csv.writer(out, lineterminator="\n")
+		writer.writerow(["", *map(pt.partition_str, mat.cols)])
+		for lam, row in zip(mat.rows, mat.dense_rows(str, "0")):
+			writer.writerow([pt.partition_str(lam), *row])
+		return
+	cols = [pt.partition_str(mu) for mu in mat.cols]
+	shown = {}  # each distinct coefficient rendered once
+	widths = [max(len(pt.partition_str(lam)) for lam in mat.rows)]
+	for label, mu in zip(cols, mat.cols):
+		width = max(len(label), len("·"))
+		for c in set(mat.columns[mu].values()):
+			text = shown.get(c)
+			if text is None:
+				text = shown[c] = str(c)
+			width = max(width, len(text))
+		widths.append(width)
+	out.write("  ".join(map(str.rjust, [""] + cols, widths)).rstrip() + "\n")
+	for lam, row in zip(mat.rows, mat.dense_rows(shown.__getitem__, "·")):
+		out.write("  ".join(map(str.rjust, [pt.partition_str(lam)] + row, widths))
+			.rstrip() + "\n")
 	if labels is not None:
 		_emit("\nprovenance:")
 		for (lam, mu), lab in sorted(labels.items()):
@@ -291,7 +320,7 @@ def _diff_one(job):
 
 def _cells(mat):
 	"""mat's entries as text, keyed by (row, column)."""
-	return {(lam, mu): v for lam, row in zip(mat.rows, mat.grid(str, "0"))
+	return {(lam, mu): v for lam, row in zip(mat.rows, mat.dense_rows(str, "0"))
 		for mu, v in zip(mat.cols, row)}
 
 
@@ -367,34 +396,51 @@ def cmd_predict_spin(args):
 		_check_formula_weight(args.weight)
 		build = formulas.formula_matrix
 	block = pt.BlockId(args.h, args.core, args.weight)
-	preds = spin.predict_matrix(build(block))
-	if args.format == "json":
-		_emit(_json({
-			"h": block.h,
-			"core": pt.partition_str(block.core),
-			"weight": block.weight,
-			"source": args.source,
-			"predictions": [p.to_json_obj() for p in preds],
-		}))
-		return 0
-	if args.format == "csv":
-		lines = ["lam,mu,d_at_one,x_h,mantissa,half_power,half_power_odd"]
-		for p in preds:
-			lines.append('"%s","%s",%d,%d,%d,%d,%s' % (
-				pt.partition_str(p.lam), pt.partition_str(p.mu),
-				p.d_at_one, p.x, p.mantissa, p.half_power,
-				"true" if p.half_power_odd else "false"))
-		_emit("\n".join(lines))
-		return 0
-	width = max(len(pt.partition_str(p.lam)) for p in preds)
-	wmu = max(len(pt.partition_str(p.mu)) for p in preds)
-	for p in preds:
-		note = "  [odd half-power]" if p.half_power_odd else ""
-		_emit("%s  %s  d(1)=%d  x_h=%d  -> %d * 2^(%d/2)%s" % (
-			pt.partition_str(p.lam).ljust(width),
-			pt.partition_str(p.mu).ljust(wmu),
-			p.d_at_one, p.x, p.mantissa, p.half_power, note))
+	_print_predictions(build(block), args.source, args.format)
 	return 0
+
+
+def _print_predictions(mat, source, form):
+	"""predict-spin's output, one write per row: a cell per entry, holding
+	d(1) of the entry, x_h of its row and the prediction, as
+	spin.predict_matrix reads them, with no record per cell.  x_h is
+	computed once per row, d(1) once per distinct coefficient, and the
+	text of a cell after its column label once per distinct (d(1), x_h)."""
+	out = sys.stdout
+	cols = [pt.partition_str(mu) for mu in mat.cols]  # row labels come one by one
+	first = between = ""  # before the first cell, and before every other
+	if form == "table":
+		lead = "%%-%ds  " % max(len(pt.partition_str(lam)) for lam in mat.rows)
+		cols = [c.ljust(max(map(len, cols))) for c in cols]
+		tail, odd = "  d(1)=%d  x_h=%d  -> %d * 2^(%d/2)%s\n", ("", "  [odd half-power]")
+	elif form == "csv":
+		out.write("lam,mu,d_at_one,x_h,mantissa,half_power,half_power_odd\n")
+		lead, cols = '"%s","', [c + '"' for c in cols]
+		tail, odd = ",%d,%d,%d,%d,%s\n", ("false", "true")
+	else:  # a partition's label needs no json escape
+		out.write("{\n" + _json_members({"h": mat.block.h,
+			"core": pt.partition_str(mat.block.core), "weight": mat.block.weight,
+			"source": source}) + ',\n  "predictions": [')
+		lead, cols = '{\n      "lam": "%s",\n      "mu": "', [c + '"' for c in cols]
+		tail = (',\n      "d_at_one": %d,\n      "x_h": %d,\n      "mantissa": %d,'
+			'\n      "half_power": %d,\n      "half_power_odd": %s\n    }')
+		odd, first, between = ("false", "true"), "\n    ", ",\n    "
+	tails = {}  # a cell's text after its column label, by (d(1), x_h)
+	sep = first
+	for lam, row in zip(mat.rows, mat.dense_rows(Laurent.eval_at_one, 0)):
+		x = spin.x_h(lam, mat.block.h)
+		start = lead % pt.partition_str(lam)
+		parts = []
+		for col, d in zip(cols, row):
+			text = tails.get((d, x))
+			if text is None:
+				half = spin.half_power(d, x)
+				text = tails[d, x] = tail % (d, x, d, half, odd[half % 2])
+			parts += (sep, start, col, text)
+			sep = between
+		out.write("".join(parts))
+	if form == "json":
+		out.write("\n  ]\n}\n")
 
 
 _COMMANDS = {

@@ -282,7 +282,8 @@ def _identity_checks(report, d, tr, shape):
 	deltas = {mu for down in downs for mu in down.support()}
 	detail = ""
 	if len(deltas) != 1:
-		detail = "no single source below the triple: %s" % (sorted(deltas),)
+		detail = "no single source below the triple: [%s]" % ", ".join(
+			map(pt.partition_str, sorted(deltas)))
 	else:
 		delta, = deltas
 		for lam, got, c in zip(tr.source(), downs, shape.e_images):

@@ -36,6 +36,11 @@ def x_h(lam, h):
 	return n_h(lam, h) + (parity(lam) == "even") - (h_parity(lam, h) == "h-even")
 
 
+def half_power(d, x):
+	"""The power of 2^(1/2) in the prediction d * 2^(x/2): x, or 0 when d is 0."""
+	return x if d else 0
+
+
 @dataclass(frozen=True)
 class SpinPrediction:
 	"""d_at_one * 2^(x/2), the prediction for the entry at (lam, mu)."""
@@ -50,7 +55,7 @@ class SpinPrediction:
 
 	@property
 	def half_power(self):
-		return self.x if self.d_at_one else 0
+		return half_power(self.d_at_one, self.x)
 
 	@property
 	def half_power_odd(self):
@@ -72,7 +77,7 @@ def predict_matrix(matrix):
 	"""Predictions for every entry of a decomposition matrix, row-major."""
 	h = matrix.block.h
 	out = []
-	for lam, row in zip(matrix.rows, matrix.grid(Laurent.eval_at_one, 0)):
+	for lam, row in zip(matrix.rows, matrix.dense_rows(Laurent.eval_at_one, 0)):
 		x = x_h(lam, h)
 		out.extend(SpinPrediction(lam, mu, d, x) for mu, d in zip(matrix.cols, row))
 	return out

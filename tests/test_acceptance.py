@@ -45,7 +45,7 @@ MEMBER_BOUNDS = {h: max(W1_CORES[h] + 2 * h, W2_CORES[h] + 4 * h)
 
 def dense(m):
 	"""m's grid of raw values: the Laurent coefficients, ZERO off the support."""
-	return m.grid(lambda c: c, ZERO)
+	return list(m.dense_rows(lambda c: c, ZERO))
 
 
 def _w1_blocks():
@@ -143,7 +143,7 @@ def test_criterion_4():
 			["0", "q^2", "0", "q^3", "0"],
 			["0", "q^4", "0", "0", "0"],
 		]
-		got = [[c.replace(" ", "") for c in row] for row in oracle.grid(str, "0")]
+		got = [[c.replace(" ", "") for c in row] for row in oracle.dense_rows(str, "0")]
 		assert got == expect
 		assert fm.formula_matrix(pt.BlockId(5, (1,), 2)) == oracle
 		assert time.monotonic() - t0 < 60.0

@@ -179,12 +179,12 @@ class TestOracle:
 			["0", "q^2", "0", "q^3", "0"],
 			["0", "q^4", "0", "0", "0"],
 		]
-		got = m.grid(str, "0")
+		got = list(m.dense_rows(str, "0"))
 		assert got == want
 
 	def test_grid_is_the_dense_matrix(self):
-		# every weight-1 and weight-2 block of the gate, against a cell-by-cell
-		# read of the sparse columns
+		# the row walk, on every weight-1 and weight-2 block of the gate,
+		# against a cell-by-cell read of the sparse columns
 		seen = 0
 		for block in list(_w1_blocks()) + list(_w2_blocks()):
 			m = cb.canonical_basis(block)
@@ -195,7 +195,9 @@ class TestOracle:
 				calls.append(c)
 				return c
 
-			assert m.grid(render, ZERO) == want, block
+			got = list(m.dense_rows(render, ZERO))
+			assert got == want, block
+			assert len({id(row) for row in got}) == len(got)  # a fresh list per row
 			# each distinct coefficient is rendered once
 			assert len(calls) == len(set(calls)) == \
 				len({c for col in m.columns.values() for c in col.values()})

@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -333,6 +334,68 @@ def test_closed_stdout_exits_quietly(capsys):
 	proc = run_subprocess(argv, stdout=subprocess.PIPE)
 	assert proc.returncode == 0 and proc.stderr == b""
 	assert proc.stdout.decode() == run(capsys, *argv)[1]
+
+
+# h=7 core () w=5: 252 rows by 108 columns, 4,069 nonzero cells
+BIG = ["--h", "7", "--core", "()", "--weight", "5", "--max-weight", "5"]
+FORMATS = ["json", "csv", "table"]
+
+
+@pytest.mark.parametrize("form", FORMATS)
+@pytest.mark.parametrize("command", ["cb", "predict-spin"])
+def test_reader_leaving_mid_matrix_exits_quietly(capsys, command, form):
+	# more than the pipe (64 KiB) and the reader's buffer (8 KiB) hold, so
+	# the writer meets the closed pipe in the middle of the matrix
+	argv = [command, *BIG, "--format", form]
+	assert len(run(capsys, *argv)[1].encode()) > 72 * 1024
+	env = dict(os.environ, PYTHONPATH=SRC)
+	proc = subprocess.Popen([sys.executable, "-m", "barfock.cli"] + argv,
+		stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+	try:
+		first = proc.stdout.readline()
+		proc.stdout.close()
+		err = proc.stderr.read()
+		code = proc.wait(timeout=120)
+	finally:
+		proc.kill()
+	assert first.strip()
+	assert code == 0 and err == b""
+
+
+class _Sink:
+	"""A stdout that keeps nothing."""
+
+	def write(self, text):
+		return len(text)
+
+	def flush(self):
+		pass
+
+
+@pytest.mark.parametrize("form", FORMATS)
+@pytest.mark.parametrize("command", ["cb", "predict-spin"])
+def test_printers_hold_no_dense_grid(monkeypatch, command, form):
+	# the matrix is built first; only the printing is traced, and it stays
+	# below one 8-byte reference per cell of the dense matrix
+	mat = barfock.canonical.canonical_basis(pt.BlockId(7, (), 5))
+	bound = 8 * len(mat.rows) * len(mat.cols)
+	assert bound == 8 * 252 * 108
+	monkeypatch.setattr(sys, "stdout", _Sink())
+	started = not tracemalloc.is_tracing()
+	if started:
+		tracemalloc.start()
+	tracemalloc.reset_peak()
+	before = tracemalloc.get_traced_memory()[0]
+	try:
+		if command == "cb":
+			cli._print_matrix(mat, form)
+		else:
+			cli._print_predictions(mat, "oracle", form)
+		peak = tracemalloc.get_traced_memory()[1] - before
+	finally:
+		if started:
+			tracemalloc.stop()
+	assert peak < bound, (command, form, peak)
 
 
 def test_internal_assertion_exits_3(capsys, monkeypatch):

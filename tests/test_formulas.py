@@ -31,7 +31,7 @@ class TestWeight1:
 		m = fm.formula_matrix(pt.BlockId(7, (4, 2), 1))
 		assert list(m.rows) == [(6, 4, 2, 1), (7, 4, 2), (9, 4), (11, 2)]
 		assert list(m.cols) == [(6, 4, 2, 1), (7, 4, 2), (9, 4)]
-		got = m.grid(str, "0")
+		got = list(m.dense_rows(str, "0"))
 		assert got == [
 			["1", "0", "0"],
 			["q", "1", "0"],

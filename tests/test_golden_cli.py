@@ -16,10 +16,11 @@ import io
 import json
 import os
 
+import barfock.canonical as cb
 import barfock.cli as cli
 import barfock.partitions as pt
 
-CLI_H, CLI_WEIGHTS, CLI_CORES = (3, 5, 7), (1, 2), 6
+CLI_H, CLI_WEIGHTS, CLI_CORES = (3, 5, 7), (0, 1, 2), 6
 RUNS = (
 	("cb", (), ("json", "csv", "table")),
 	("formula", ("--provenance",), ("table", "json")),
@@ -46,11 +47,27 @@ def cli_digests():
 	return out
 
 
+def test_cb_json_is_the_data_view():
+	# the json writer streams its rows; it must print exactly the bytes of
+	# the data view that the benchmark digests
+	for h in CLI_H:
+		for weight in CLI_WEIGHTS:
+			for core in pt.enumerate_cores(h, CLI_CORES):
+				buf = io.StringIO()
+				with contextlib.redirect_stdout(buf):
+					code = cli.main(["cb", "--h", str(h), "--core", pt.partition_str(core),
+						"--weight", str(weight), "--format", "json"])
+				mat = cb.canonical_basis(pt.BlockId(h, core, weight))
+				assert code == 0
+				assert buf.getvalue() == json.dumps(mat.to_json_obj(), indent=2) + "\n", \
+					(h, core, weight)
+
+
 def test_cli_matrix_bytes():
 	with open(PATH) as f:
 		want = json.load(f)
 	got = cli_digests()
-	assert len(got) == 260
+	assert len(got) == 390
 	assert sorted(got) == sorted(want)
 	for key in sorted(got):
 		assert got[key] == want[key], key

@@ -22,7 +22,7 @@ import barfock.abacus as ab
 import barfock.cli as cli
 import barfock.partitions as pt
 
-SPIN_H, SPIN_CORES = (3, 5), 6
+SPIN_H, SPIN_CORES = (3, 5, 7), 6
 TAG_H, TAG_CORES = (5, 7), 6
 SOURCES = ("oracle", "formula")
 FORMATS = ("json", "csv", "table")

@@ -393,7 +393,7 @@ MUTANTS = {
 	"no-single-source": (((8, 2, 1), 7, 1),
 		lambda mp, d: _add_to_e_image(mp, (15, 9, 1)),
 		"exceptional-e-identities",
-		"no single source below the triple: [(15, 8, 1), (15, 9, 1)]"),
+		"no single source below the triple: [(15,8,1), (15,9,1)]"),
 	"image-not-restricted": (((8, 2, 1), 7, 1),
 		lambda mp, d: _swap(mp, (8, 7, 4, 3, 2, 1), (15, 4, 3, 2, 1)),
 		"column-patterns",
