@@ -14,18 +14,23 @@ and the checks raise InvariantError, so they survive `python -O`.
 The canonical basis is unique, so finished columns live in one store per
 h, shared by every block the oracle builds: each G(mu) is built and
 checked once per process.  A call that fails takes its unfinished columns
-back out of the store.
+back out of the store.  A column is built in a dict and, once finished,
+frozen into a Column: its partitions lex ascending and their
+coefficients, as two tuples.
 
 Every process-wide table is a `functools` cache on the function that
 builds its entries, which holds its key, bound and reset; the exception
 is `_CACHE`, a plain dict that bench/tracer.py's cache probe reads:
 - `fock._image`: f/e images by (lam, i, k, h, direction); the one LRU
   cache, of `fock.IMAGE_CACHE_SIZE` entries;
+- `fock._partitions`: one {partition: partition} table by h, whose
+  objects every image and column holds; unbounded, one entry per
+  partition an image reaches (35,727 at h=7 w=8);
 - `fock._coefficient`: by (exponent, bar factors); unbounded (105 at h=7 w=8);
 - `_store`: columns and interned coefficients by h; unbounded, one
   column per restricted partition the process reaches.  A column is a
-  plain zero-free {lam: coefficient} dict; coefficients are interned by
-  their packed (lo, p) pair, and each is checked against
+  zero-free Column keyed by `fock._partitions(h)`'s objects; coefficients
+  are interned by their packed (lo, p) pair, and each is checked against
   `laurent.COEFF_BOUND` when it is first interned (see `laurent`);
 - `_CACHE`: matrices by block; unbounded, views of `_store`;
 - `partitions._members_by_core`: block members by (h, size), grouped by
@@ -36,6 +41,7 @@ Nothing else in `src/` keeps state between calls.
 
 import heapq
 from array import array
+from bisect import bisect_left
 from functools import cache
 
 from . import fock
@@ -132,14 +138,69 @@ def peel_word(mu, h):
 	return word
 
 
+class Column:
+	"""A finished sparse column: its partitions lex ascending and their
+	coefficients, as two tuples.  A read-only mapping lam -> coefficient;
+	it equals the dict with the same items, and entries are found by
+	bisection."""
+
+	__slots__ = ("lams", "coeffs")
+
+	def __init__(self, lams, coeffs):
+		self.lams = lams
+		self.coeffs = coeffs
+
+	@classmethod
+	def of(cls, terms):
+		"""The frozen copy of a {lam: coefficient} dict."""
+		lams = tuple(sorted(terms))
+		return cls(lams, tuple(map(terms.__getitem__, lams)))
+
+	def __len__(self):
+		return len(self.lams)
+
+	def __iter__(self):
+		return iter(self.lams)
+
+	def keys(self):
+		return self.lams
+
+	def values(self):
+		return self.coeffs
+
+	def items(self):
+		return zip(self.lams, self.coeffs)
+
+	def get(self, lam, default=None):
+		j = bisect_left(self.lams, lam)
+		if j < len(self.lams) and self.lams[j] == lam:
+			return self.coeffs[j]
+		return default
+
+	def __contains__(self, lam):
+		return self.get(lam) is not None
+
+	def __eq__(self, other):
+		if isinstance(other, Column):
+			return self.lams == other.lams and self.coeffs == other.coeffs
+		if isinstance(other, dict):
+			return len(other) == len(self.lams) and \
+				all(other.get(lam) == c for lam, c in self.items())
+		return NotImplemented
+
+	def __repr__(self):
+		return "Column(%r)" % dict(self.items())
+
+
 class CanonicalBasisMatrix:
 	"""Decomposition-number matrix of one block, held as sparse columns.
 
 	Rows are all block members lex ascending, columns the restricted ones
 	lex ascending; columns maps each mu, in that order, to the zero-free
-	{lam: coefficient} of G(mu).  The oracle's columns are the store's own
-	dicts, so nothing may change them.  Every dense reader goes through
-	one row walk, dense_rows, which never holds the dense grid.
+	Column of G(mu).  A dict column is frozen on the way in; the oracle's
+	columns are the store's own, so every matrix is compared and read
+	through one column type.  Every dense reader goes through one row
+	walk, dense_rows, which never holds the dense grid.
 	"""
 
 	__slots__ = ("block", "rows", "cols", "columns", "_members")
@@ -148,7 +209,8 @@ class CanonicalBasisMatrix:
 		self.block = block
 		self.rows = tuple(rows)
 		self.cols = tuple(columns)
-		self.columns = columns
+		self.columns = {mu: col if isinstance(col, Column) else Column.of(col)
+			for mu, col in columns.items()}
 		self._members = frozenset(self.rows)
 
 	def _column(self, mu):
@@ -233,7 +295,8 @@ _CACHE = {}  # finished matrices, by block
 @cache
 def _store(h):
 	"""h's columns by mu, from the vacuum on, and interned coefficients."""
-	return {(): {(): ONE}}, {}
+	vacuum = fock._partitions(h).setdefault((), ())
+	return {vacuum: Column((vacuum,), (ONE,))}, {}
 
 
 def canonical_basis(block):
@@ -270,7 +333,9 @@ def canonical_basis(block):
 	lo >= 1.  Coefficients are interned by (lo, p); the first time a value
 	is met it is checked against COEFF_BOUND and kept as tight(), with its
 	exact height as its carried bound.  Columns accumulate through
-	laurent.add_product, which builds one value per sum.
+	laurent.add_product, which builds one value per sum, in a dict keyed
+	by fock's partition table; the checks walk a finished column in lex
+	order and freeze it into a Column of its interned coefficients.
 	"""
 	key = (block, "smallest")  # the key bench/tracer.py's cache probe builds
 	if key in _CACHE:
@@ -279,6 +344,7 @@ def canonical_basis(block):
 	parts = pt.enumerate_block(block)
 	restricted = [p for p in parts if pt.is_restricted(p, h)]
 	G, coeffs = _store(h)  # coeffs: one object per distinct coefficient, by (lo, p)
+	intern = fock._partitions(h).setdefault
 	records = {}  # per partition: (h-content, prefix sums); columns share most terms
 	contents = {}  # one tuple per distinct h-content, shared by the records
 
@@ -292,6 +358,7 @@ def canonical_basis(block):
 			pt.require(G[mu] is not None,
 				"%s: columns depend on each other in a cycle at %s", block, mu)
 			return G[mu]
+		mu = intern(mu, mu)
 		G[mu] = None  # in progress
 		nu, i, k = string_top(mu, h)
 		# apply_f's result is a fresh dict: the column is built in it
@@ -322,7 +389,10 @@ def canonical_basis(block):
 		pt.require(terms.get(mu) == ONE,
 			"%s, column %s: leading coefficient is not 1", block, mu)
 		content, sums = records.get(mu) or record(mu)
-		for lam, c in terms.items():
+		lams = tuple(sorted(terms))
+		values = []
+		for lam in lams:
+			c = terms[lam]
 			rec = records.get(lam) or record(lam)
 			pt.require(rec[0] == content,
 				"%s, column %s: h-content differs at %s", block, mu, lam)
@@ -339,9 +409,9 @@ def canonical_basis(block):
 					"%s, column %s: coefficient %s at %s exceeds the bound %d",
 					block, mu, c, lam, COEFF_BOUND)
 				coeffs[key] = kept
-			terms[lam] = kept
-		G[mu] = terms
-		return terms
+			values.append(kept)
+		G[mu] = col = Column(lams, tuple(values))
+		return col
 
 	try:
 		for mu in sorted(restricted, reverse=True):
@@ -353,9 +423,9 @@ def canonical_basis(block):
 	finally:
 		del column  # it refers to itself; unbound, the call's dicts are freed on return
 	out = CanonicalBasisMatrix(block, parts, {mu: G[mu] for mu in restricted})
-	for mu, terms in out.columns.items():
-		if not out._members.issuperset(terms):
-			leak = min(terms.keys() - out._members)
+	for mu, col in out.columns.items():
+		if not out._members.issuperset(col):
+			leak = next(lam for lam in col if lam not in out._members)
 			raise pt.InvariantError("%s, column %s: leaks outside the block at %s"
 				% (block, pt.partition_str(mu), pt.partition_str(leak)))
 	_CACHE[key] = out

@@ -17,16 +17,19 @@ negating the columns turns "right of c" into "left of c", so one routine
 serves both.
 
 Both operators are linear, so they act term by term: the image of one
-partition, f_i^(k) lam or e_i^(k) lam as a tuple of (mu, coefficient), is
-computed once per (lam, i, k, h, direction) and kept in one LRU cache of
-IMAGE_CACHE_SIZE entries; a vector's image is the sum of its terms' images
-scaled by their coefficients.  Overlapping canonical-basis columns reach
-the same partitions again and again, within a block and across blocks, and
-the cache is keyed by the whole input, so every caller (the oracle on
-every block, the pair checks) shares it.  Sharing is safe because an
-image is immutable: a tuple of tuples of partitions and Laurent values, and
-callers get a FockVector over a fresh dict built from it.  Equal
-coefficients are one Laurent object, which keeps the cached images small.
+partition, f_i^(k) lam or e_i^(k) lam as one flat tuple (mu, coefficient,
+mu, coefficient, ...), is computed once per (lam, i, k, h, direction) and
+kept in one LRU cache of IMAGE_CACHE_SIZE entries; a vector's image is the
+sum of its terms' images scaled by their coefficients.  Overlapping
+canonical-basis columns reach the same partitions again and again, within
+a block and across blocks, and the cache is keyed by the whole input, so
+every caller (the oracle on every block, the pair checks) shares it.
+Sharing is safe because an image is immutable: a tuple of partitions and
+Laurent values, and callers get a FockVector over a fresh dict built from
+it.  Equal coefficients are one Laurent object, and each target is the one
+object that _partitions(h) holds for its partition, so the cached images,
+and the canonical-basis columns built from them, keep each partition and
+each coefficient once.
 The library's own vectors come from FockVector.wrap, which takes a clean
 dict as it is; the checking constructor is for callers outside.
 """
@@ -44,6 +47,7 @@ from .laurent import Laurent, ONE, ZERO, add_product, q_power
 # but `diff --weight 2 --max-core-size 30 --h 3,5,...,15` (2,499 blocks)
 # has the same 138,492 hits and 123,302 misses either way, in 23.1-27.0 s
 # against 26.3-28.0 s, and peaks at 128.5 MiB, not 103.5: so it stays.
+# (Times and MiB measured at commit 341a1ed.)
 IMAGE_CACHE_SIZE = 1 << 14
 
 _new = object.__new__
@@ -73,7 +77,8 @@ class FockVector:
 	@classmethod
 	def wrap(cls, h, terms):
 		"""A vector over terms, taken as it is: the library's own zero-free
-		{partition tuple: Laurent} dicts skip the constructor's checks."""
+		{partition tuple: Laurent} mappings (dicts, and the oracle's
+		finished columns) skip the constructor's checks."""
 		vec = _new(cls)
 		vec.h = h
 		vec.terms = terms
@@ -134,10 +139,18 @@ def _q_i_exponent(i, h):
 	return 4 if i == pt.n_of(h) else 2
 
 
+@cache
+def _partitions(h):
+	"""h's partition table: each partition, by itself, as the one tuple
+	object that every image and canonical-basis column holds for it."""
+	return {}
+
+
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def _image(lam, i, k, h, raising):
 	"""f_i^(k) lam (raising) or e_i^(k) lam (lowering) on one basis vector,
-	as a tuple of (mu, coefficient) by the rule in the module docstring.
+	as one flat tuple (mu, coefficient, mu, coefficient, ...) by the rule
+	in the module docstring; each mu is _partitions(h)'s object.
 
 	Let lam+ be lam completed by its addable i-nodes.  Every h-strict mu
 	reached from lam by adding i-nodes lies rowwise between lam and lam+,
@@ -183,6 +196,7 @@ def _image(lam, i, k, h, raising):
 		for r, node in zip(ranks, reach)}.__getitem__
 	step = _q_i_exponent(i, h)
 	pairs = k * (k - 1) // 2
+	intern = _partitions(h).setdefault
 	out = []
 	for nodes in combinations(reach, k):
 		mu = pt.move_nodes(lam, nodes, h, sign)
@@ -195,7 +209,7 @@ def _image(lam, i, k, h, raising):
 			# the outer column of a pair {mh, mh+1} moved alone
 			mhs = [x - 1 if raising else x for x in cols if x - sign not in cols]
 			bs = tuple(sorted(lam.count(mh) for mh in mhs if mh and mh % h == 0))
-		out.append((mu, _coefficient(step * s, bs)))
+		out += intern(mu, mu), _coefficient(step * s, bs)
 	return tuple(out)
 
 
@@ -220,7 +234,8 @@ def _apply(vec, i, k, raising):
 	acc = {}
 	get = acc.get
 	for lam, c in vec.terms.items():
-		for mu, coeff in _image(lam, i, k, h, raising):
+		image = iter(_image(lam, i, k, h, raising))
+		for mu, coeff in zip(image, image):
 			acc[mu] = add_product(get(mu, ZERO), c, coeff)
 	return FockVector.wrap(h, {mu: c for mu, c in acc.items() if c.p})
 

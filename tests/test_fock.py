@@ -6,7 +6,7 @@ import pytest
 
 import barfock.partitions as pt
 import barfock.fock as fock
-from barfock.laurent import ZERO, ONE, parse
+from barfock.laurent import Laurent, ZERO, ONE, parse
 
 from test_fock_golden import BOUNDS, POWERS
 from test_laurent import quantum_factorial
@@ -177,8 +177,10 @@ class TestImageCache:
 	def test_images_are_immutable_and_share_coefficients(self):
 		lam = (5, 4)
 		image = fock._image(lam, 0, 1, 5, True)
-		assert isinstance(image, tuple)
-		assert all(isinstance(term, tuple) for term in image)
+		# one flat tuple (mu, coefficient, mu, coefficient, ...)
+		assert isinstance(image, tuple) and len(image) % 2 == 0
+		assert all(isinstance(mu, tuple) for mu in image[::2])
+		assert all(isinstance(c, Laurent) for c in image[1::2])
 		assert fock._image(lam, 0, 1, 5, True) is image
 		# a caller that edits its result leaves the cached image alone
 		got = fock.apply_f(basis(5, lam), 0, 1)
@@ -187,7 +189,11 @@ class TestImageCache:
 			((5, 4, 1), "1"), ((5, 5), "q"), ((6, 4), "q^2 + q^4"))
 		# equal coefficients are one object
 		other = fock._image((4,), 0, 1, 5, True)
-		assert dict(other)[(4, 1)] is dict(image)[(5, 4, 1)]
+		assert dict(zip(other[::2], other[1::2]))[(4, 1)] is \
+			dict(zip(image[::2], image[1::2]))[(5, 4, 1)]
+		# and equal partitions are one tuple object, the partition table's
+		table = fock._partitions(5)
+		assert all(table[mu] is mu for mu in image[::2] + other[::2])
 
 	def test_cache_is_bounded(self):
 		assert fock._image.cache_info().maxsize == fock.IMAGE_CACHE_SIZE
@@ -277,5 +283,5 @@ def test_image_support_is_every_i_skew_partition(h):
 								cols = skew_columns(*((lam, mu) if raising else (mu, lam)))
 								skews[mu] = cols and {pt.residue(c, h) for c in cols}
 						want = {mu for mu in sized(m + sign * k) if skews[mu] == {i}}
-						got = {mu for mu, _ in fock._image(lam, i, k, h, raising)}
+						got = set(fock._image(lam, i, k, h, raising)[::2])
 						assert got == want, (lam, i, k, raising)
