@@ -33,8 +33,9 @@ is `_CACHE`, a plain dict that bench/tracer.py's cache probe reads:
   are interned by their packed (lo, p) pair, and each is checked against
   `laurent.COEFF_BOUND` when it is first interned (see `laurent`);
 - `_CACHE`: matrices by block; unbounded, views of `_store`;
-- `partitions._members_by_core`: block members by (h, size), grouped by
-  bar-core; unbounded, holding every h-strict partition of each size;
+- `partitions._block_members`: a block's members, lex ascending, by
+  (h, core, weight); unbounded, one entry per block enumerated and per
+  block of the same core at each lower weight, which it grows from;
 - `partitions._residue_table`: one residue tuple per h.
 Nothing else in `src/` keeps state between calls.
 """
@@ -226,6 +227,15 @@ class CanonicalBasisMatrix:
 			raise ValueError("%s is not a row of %s" % (pt.partition_str(lam), self.block))
 		return self._column(mu).get(lam, ZERO)
 
+	def cells(self, lams, mu):
+		"""entry(lam, mu) for each partition lam of lams in turn, lazily:
+		column mu is read once, into a dict, at the first step."""
+		col = dict(self._column(mu).items())
+		for lam in lams:
+			if lam not in self._members:
+				raise ValueError("%s is not a row of %s" % (pt.partition_str(lam), self.block))
+			yield col.get(lam, ZERO)
+
 	def column(self, mu):
 		return fock.FockVector(self.block.h, self._column(mu))
 
@@ -376,9 +386,11 @@ def canonical_basis(block):
 			pt.require(pt.is_restricted(bad, h),
 				"%s, column %s: correction needed at non-restricted %s", block, mu, bad)
 			minus_s = -symmetric_correction(c)
-			for lam, d in column(bad).items():
-				pt.require(lam >= bad, "%s, column %s: the correction G%s reaches "
-					"below itself at %s", block, mu, bad, lam)
+			correction = column(bad)
+			# a finished column is lex ascending: its first term is its least
+			pt.require(correction.lams[0] >= bad, "%s, column %s: the correction "
+				"G%s reaches below itself at %s", block, mu, bad, correction.lams[0])
+			for lam, d in correction.items():
 				if lam not in terms:
 					heapq.heappush(heap, lam)
 				e = add_product(terms.get(lam, ZERO), minus_s, d)

@@ -7,11 +7,13 @@ exist at weight 2 -- a generic one and three sporadic ones attached to
 the named special partitions of the block.  The sporadic shapes are one
 table of clauses (`at x`, `chain(lo,hi)`), read by one loop that also
 names each entry's clause as its provenance label.  A weight-2 block is
-enumerated, and its special partitions and member profiles found, once
-per matrix; nothing here is kept between calls.  formula_matrix(block,
-with_labels=False) is the one entry, dispatching on the weight.
+enumerated, and its special partitions and each member's profile and
+prefix sums found, once per matrix; nothing here is kept between calls.
+formula_matrix(block, with_labels=False) is the one entry, dispatching
+on the weight.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import abacus
@@ -167,24 +169,29 @@ def special_partitions(tau, h):
 # weight 2: the matrix
 # ---------------------------------------------------------------------------
 
-def mu_plus(mu, profiles):
+def mu_plus(mu, like, sums):
 	"""The least member of the block strictly dominating mu with the same
-	leg spread and colour; profiles maps every member to its profile.  The
-	candidates form a chain, which is checked; its least element is mu+."""
+	leg spread and colour; like lists the members with mu's spread and
+	colour lex ascending, and sums maps every member to its prefix sums.
+	Strict dominance implies lex order, so only the members after mu in
+	like can dominate it.  The candidates form a chain, which is checked;
+	its least element is mu+."""
 	mu = tuple(mu)
-	prof = profiles[mu]
-	cands = [lam for lam, p in profiles.items()
-		if (p.spread, p.colour) == (prof.spread, prof.colour)
-		and pt.strictly_dominates(lam, mu)]
+	below = sums[mu]
+	cands = [lam for lam in like[bisect_right(like, mu):]
+		if pt.sums_dominate(sums[lam], below)]
 	pt.require(cands, "no like-shaped partition above %s", mu)
-	chain = pt.dominance_chain(cands)
-	pt.require(chain is not None,
+	pt.require(all(pt.sums_dominate(sums[b], sums[a]) for a, b in zip(cands, cands[1:])),
 		"like-shaped partitions above %s do not form a chain", mu)
-	return chain[0]
+	return cands[0]
 
 
-def _between(lam, lo, hi):
-	return pt.strictly_dominates(lam, lo) and pt.strictly_dominates(hi, lam)
+def _between(lam, lo, hi, sums):
+	"""lam strictly dominates lo and is strictly dominated by hi; sums maps
+	the three to their prefix sums.  Strict dominance implies lex order,
+	which decides most pairs first."""
+	return lo < lam < hi and pt.sums_dominate(sums[lam], sums[lo]) \
+		and pt.sums_dominate(sums[hi], sums[lam])
 
 
 def _at(x, value):
@@ -223,10 +230,17 @@ _SPORADIC = {
 	),
 }
 
+# A generic column's two values, and the same divided by q, which a row
+# holding h or 2h takes when mu holds neither.
+_GENERIC = {"partner": L("q^4"), "between": L("q^2")}
+_GENERIC_BY_Q = {label: exact_div(value, L("q")) for label, value in _GENERIC.items()}
 
-def _weight2_column(mu, block, profiles, named):
+
+def _weight2_column(mu, h, members, profiles, sums, shapes, named):
 	"""The nonzero entries of mu's column, as {lam: (value, label)};
-	profiles maps every member to its profile, and named the names of the
+	members lists the block lex ascending, profiles and sums map every
+	member to its profile and its prefix sums, shapes maps each (spread,
+	colour) to its members lex ascending, and named the names of the
 	block's special partitions to them."""
 	out = {mu: (ONE, "unit")}
 	name = next((x for x in _SPORADIC if named.get(x) == mu), None)
@@ -239,39 +253,50 @@ def _weight2_column(mu, block, profiles, named):
 			if lam == mu:
 				continue
 			for label, at, s, value in clauses:
-				if (lam == at[0]) if s is None else (s == p.spread and _between(lam, *at)):
+				if (lam == at[0]) if s is None else (s == p.spread and _between(lam, *at, sums)):
 					out[lam] = (value, label)
 					break
 		return out
 
-	h = block.h
-	mup = mu_plus(mu, profiles)
-	dmu = profiles[mu].spread
-	mu_has = bool({h, 2 * h} & set(mu))
-	for lam, p in profiles.items():
+	p = profiles[mu]
+	mup = mu_plus(mu, shapes[p.spread, p.colour], sums)
+	mu_has = h in mu or 2 * h in mu
+	# mu+ and every member strictly between mu and mu+ lie lex between them
+	for lam in members[bisect_right(members, mu):bisect_right(members, mup)]:
 		if lam == mup:
-			val, label = L("q^4"), "partner"
-		elif _between(lam, mu, mup) and abs(p.spread - dmu) == 1:
-			val, label = L("q^2"), "between"
+			label = "partner"
+		elif abs(profiles[lam].spread - p.spread) == 1 and _between(lam, mu, mup, sums):
+			label = "between"
 		else:
 			continue
-		if not mu_has and ({h, 2 * h} & set(lam)):
-			val = exact_div(val, L("q"))
-			label += "/q"
-		out[lam] = (val, label)
+		if not mu_has and (h in lam or 2 * h in lam):
+			out[lam] = (_GENERIC_BY_Q[label], label + "/q")
+		else:
+			out[lam] = (_GENERIC[label], label)
 	return out
 
 
 def _weight2(block):
-	"""The weight-2 matrix and its provenance labels."""
+	"""The weight-2 matrix and its provenance labels.  Each member's
+	profile and prefix sums are found once, and the members are grouped by
+	leg spread and colour, lex ascending, for mu_plus."""
+	h = block.h
 	members = pt.enumerate_block(block)
+	m = pt.size(members[0])
+	pt.require(all(pt.size(lam) == m for lam in members),
+		"%s: members of more than one size", block)
+	sums = {lam: pt.prefix_sums(lam) for lam in members}
 	profiles = {lam: weight2_profile(lam, block) for lam in members}
-	named = special_partitions(block.core, block.h)
+	shapes = {}
+	for lam, p in profiles.items():
+		shapes.setdefault((p.spread, p.colour), []).append(lam)
+	named = special_partitions(block.core, h)
 	columns, labels = {}, {}
 	for mu in members:
-		if pt.is_restricted(mu, block.h):
+		if pt.is_restricted(mu, h):
 			columns[mu] = col = {}
-			for lam, (val, label) in _weight2_column(mu, block, profiles, named).items():
+			for lam, (val, label) in _weight2_column(
+					mu, h, members, profiles, sums, shapes, named).items():
 				col[lam], labels[(lam, mu)] = val, label
 	return CanonicalBasisMatrix(block, members, columns), labels
 

@@ -299,10 +299,12 @@ def _identity_checks(report, d, tr, shape):
 
 def _transport_failure(ms, mt, images, rows, mu):
 	"""The first of rows whose entry in column mu of ms differs from the
-	entry of its psi image in column psi(mu) of mt, or None."""
-	pm = images[mu]
-	for lam in rows:
-		if ms.entry(lam, mu) != mt.entry(images[lam], pm):
+	entry of its psi image in column psi(mu) of mt, or None; each of the
+	two columns is read once."""
+	left = ms.cells(rows, mu)
+	right = mt.cells(map(images.__getitem__, rows), images[mu])
+	for lam, a, b in zip(rows, left, right):
+		if a != b:
 			return lam
 	return None
 

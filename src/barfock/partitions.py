@@ -242,33 +242,58 @@ def h_content(lam, h):
 # ---------------------------------------------------------------------------
 
 def remove_h_bar_all(lam, h):
-	"""All single h-bar removals, as (partition, recorded value) pairs.
+	"""All single h-bar removals from the h-strict lam, as (partition,
+	recorded value) pairs, sorted.
 
 	Two moves: replace a part a >= h by a - h (recording a; a part equal to
 	h disappears and records h), or delete two parts summing to h (recording
-	the larger).  Results must again be h-strict.
+	the larger).  Results must again be h-strict: deleting parts keeps lam
+	h-strict, so only a - h can repeat, where it is already a part and not
+	a multiple of h.
 	"""
 	lam = tuple(lam)
-	out = set()
-	parts = list(lam)
-	for a in sorted(set(parts), reverse=True):
-		if a >= h:
-			rest = list(parts)
+	out = []
+	for a in set(lam):
+		if a >= h and (a % h == 0 or a - h not in lam):
+			rest = list(lam)
 			rest.remove(a)
 			if a > h:
 				rest.append(a - h)
-			mu = tuple(sorted(rest, reverse=True))
-			if is_h_strict(mu, h):
-				out.add((mu, a))
+				rest.sort(reverse=True)
+			out.append((tuple(rest), a))
 	for a in range(1, n_of(h) + 1):
-		if a in parts and (h - a) in parts:
-			rest = list(parts)
+		if a in lam and h - a in lam:
+			rest = list(lam)
 			rest.remove(a)
 			rest.remove(h - a)
-			mu = tuple(sorted(rest, reverse=True))
-			if is_h_strict(mu, h):
-				out.add((mu, h - a))
-	return sorted(out)
+			out.append((tuple(rest), h - a))
+	out.sort()
+	return out
+
+
+def add_h_bar_all(lam, h):
+	"""All single h-bar additions, the inverse of remove_h_bar_all: the
+	h-strict partitions from which one h-bar removal gives lam, each
+	once, in no set order (enumerate_block sorts what it collects).
+
+	Two moves: replace a part a by a + h (a = 0 adds a part h), or add two
+	parts summing to h.  Removing a part keeps lam h-strict, so a result
+	fails to be h-strict only by repeating a part that is not a multiple
+	of h.
+	"""
+	out = []
+	for a in set(lam) | {0}:
+		if a % h == 0 or a + h not in lam:
+			rest = list(lam)
+			if a:
+				rest.remove(a)
+			rest.append(a + h)
+			rest.sort(reverse=True)
+			out.append(tuple(rest))
+	for a in range(1, n_of(h) + 1):
+		if a not in lam and h - a not in lam:
+			out.append(tuple(sorted(lam + (h - a, a), reverse=True)))
+	return out
 
 
 def flush_surplus(surplus, h):
@@ -424,23 +449,31 @@ def _extend_h_strict(out, acc, remaining, maxpart, h):
 		acc.pop()
 
 
-@cache
-def _members_by_core(h, m):
-	"""The h-strict partitions of m grouped by bar-core, each group lex
-	ascending; built from one enumeration and one bar_core per partition."""
-	by_core = {}
-	for lam in enumerate_h_strict(m, h):
-		by_core.setdefault(bar_core(lam, h), []).append(lam)
-	return by_core
-
-
 def enumerate_cores(h, max_size):
-	"""All bar-cores of size at most max_size, by size then lex: the
-	groups of each size whose core has that size."""
-	out = []
-	for m in range(max_size + 1):
-		out.extend(sorted(t for t in _members_by_core(h, m) if size(t) == m))
-	return out
+	"""All bar-cores of size at most max_size, by size then lex.
+
+	A core is its runner surpluses, flushed (flush_surplus).  Runners k
+	and h - k carry opposite surpluses and runner 0 none, so the cores
+	are the free choices, for each k = 1..n, of d >= 0 beads on runner k
+	or on runner h - k; d beads from the lowest position low on a runner
+	are the parts low, low + h, ..., low + (d - 1) h.
+	"""
+	choices = [([0] * h, 0)] if max_size >= 0 else []  # (surplus by runner, core size)
+	for k in range(1, n_of(h) + 1):
+		grown = []
+		for surplus, used in choices:
+			grown.append((surplus, used))
+			for low in (k, h - k):
+				d, cost = 1, low
+				while used + cost <= max_size:
+					loaded = list(surplus)
+					loaded[low], loaded[h - low] = d, -d
+					grown.append((loaded, used + cost))
+					cost += low + d * h
+					d += 1
+		choices = grown
+	return sorted((flush_surplus(surplus, h) for surplus, _ in choices),
+		key=lambda tau: (size(tau), tau))
 
 
 @dataclass(frozen=True)
@@ -464,11 +497,20 @@ class BlockId:
 
 def enumerate_block(block):
 	"""All h-strict partitions with the block's core and weight, lex
-	ascending, as a fresh list.  The blocks of one size are the classes of
-	its h-strict partitions under the bar-core, so one grouped pass over
-	the size serves every block of that size."""
-	m = size(block.core) + block.h * block.weight
-	return list(_members_by_core(block.h, m).get(block.core, ()))
+	ascending, as a fresh list."""
+	return list(_block_members(block.h, block.core, block.weight))
+
+
+@cache
+def _block_members(h, core, weight):
+	"""The members of the block (h, core, weight), lex ascending: the core
+	at weight 0, and every single h-bar addition to a member one weight
+	lower above it.  Adding bars never changes the bar-core, and every
+	member reaches the core by removing bars, so nothing is filtered."""
+	if weight == 0:
+		return (core,)
+	return tuple(sorted({mu for lam in _block_members(h, core, weight - 1)
+		for mu in add_h_bar_all(lam, h)}))
 
 
 # ---------------------------------------------------------------------------

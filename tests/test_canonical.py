@@ -155,6 +155,19 @@ class TestOracle:
 		with pytest.raises(ValueError):
 			m.entry((99,), m.cols[0])
 
+	def test_cells_are_entries_read_off_one_column(self):
+		# cells answers as entry does, row by row, and raises at the first
+		# partition that is not a row, or at once on a column it lacks
+		m = cb.canonical_basis(pt.BlockId(5, (1,), 2))
+		for mu in m.cols:
+			assert list(m.cells(m.rows, mu)) == [m.entry(lam, mu) for lam in m.rows]
+		cells = m.cells([m.rows[0], (99,), m.rows[1]], m.cols[0])
+		assert next(cells) == m.entry(m.rows[0], m.cols[0])
+		with pytest.raises(ValueError, match=r"^\(99\) is not a row of h=5 core=\(1\) w=2$"):
+			next(cells)
+		with pytest.raises(ValueError, match="is not a column"):
+			next(m.cells(m.rows, m.rows[-1]))
+
 	def test_displayed_columns(self):
 		block = pt.BlockId(5, (), 2)
 		m = cb.canonical_basis(block)
@@ -349,6 +362,20 @@ class TestColumnStore:
 		store[mu] = cb.Column.of({**dict(store[mu].items()), (99,): ONE})
 		with pytest.raises(pt.InvariantError,
 				match=r"^h=5 core=\(1\) w=2, column \(5,3,2,1\): leaks outside the block at \(99\)$"):
+			cb.canonical_basis(block)
+
+	def test_a_correction_reaching_below_itself_is_refused(self, clean_store):
+		# straightening G(3,3,2,1) at h=3 w=3 subtracts a multiple of
+		# G(5,3,1): plant a term lex below (5,3,1) in that stored column
+		# and rebuild G(3,3,2,1), which must refuse the correction
+		block = pt.BlockId(3, (), 3)
+		cb.canonical_basis(block)
+		cb._CACHE.clear()
+		store = cb._store(3)[0]
+		store[(5, 3, 1)] = cb.Column.of({**dict(store[(5, 3, 1)].items()), (4, 3, 2): parse("q")})
+		del store[(3, 3, 2, 1)]
+		with pytest.raises(pt.InvariantError, match=r"^h=3 core=\(\) w=3, column \(3,3,2,1\): "
+				r"the correction G\(5,3,1\) reaches below itself at \(4,3,2\)$"):
 			cb.canonical_basis(block)
 
 	def test_any_order_same_matrices(self, clean_store, monkeypatch):

@@ -156,24 +156,51 @@ class TestSpecials:
 				assert lam in members, (name, lam)
 
 
-def _profiles(block):
-	return {lam: fm.weight2_profile(lam, block) for lam in pt.enumerate_block(block)}
+def _like_shaped(block):
+	"""mu_plus's inputs on a weight-2 block: for each member, the members
+	with its leg spread and colour, lex ascending; and every member's
+	prefix sums."""
+	members = pt.enumerate_block(block)
+	shape = {lam: (p.spread, p.colour)
+		for lam, p in ((lam, fm.weight2_profile(lam, block)) for lam in members)}
+	like = {lam: [mu for mu in members if shape[mu] == shape[lam]] for lam in members}
+	return like, {lam: pt.prefix_sums(lam) for lam in members}
 
 
 class TestMuPlus:
 	def test_displayed_values(self):
-		profiles = _profiles(pt.BlockId(5, (1,), 2))
-		assert fm.mu_plus((6, 3, 2), profiles) == (7, 3, 1)
-		assert fm.mu_plus((6, 4, 1), profiles) == (10, 1)
+		like, sums = _like_shaped(pt.BlockId(5, (1,), 2))
+		assert fm.mu_plus((6, 3, 2), like[(6, 3, 2)], sums) == (7, 3, 1)
+		assert fm.mu_plus((6, 4, 1), like[(6, 4, 1)], sums) == (10, 1)
 
 	def test_same_statistics(self):
 		b = pt.BlockId(5, (1,), 2)
-		profiles = _profiles(b)
+		like, sums = _like_shaped(b)
 		for mu in [(6, 3, 2), (6, 4, 1)]:
-			up = fm.mu_plus(mu, profiles)
+			up = fm.mu_plus(mu, like[mu], sums)
 			p, q = fm.weight2_profile(mu, b), fm.weight2_profile(up, b)
 			assert (p.spread, p.colour) == (q.spread, q.colour)
 			assert pt.strictly_dominates(up, mu)
+
+	def test_least_like_shaped_dominating_member(self):
+		# mu+ is the least of the like-shaped members strictly dominating
+		# mu, found by a scan of every member with partitions.dominates
+		for h in (3, 5, 7):
+			for core in pt.enumerate_cores(h, 6):
+				like, sums = _like_shaped(pt.BlockId(h, core, 2))
+				for mu in like:
+					above = [lam for lam in like[mu] if pt.strictly_dominates(lam, mu)]
+					if above:
+						assert fm.mu_plus(mu, like[mu], sums) == min(above), mu
+
+	def test_chain_check(self):
+		# two like-shaped partitions above mu that do not compare
+		lams = [(4, 4, 4), (5, 5, 2), (6, 3, 3)]
+		sums = {lam: pt.prefix_sums(lam) for lam in lams}
+		with pytest.raises(pt.InvariantError, match=r"above \(4,4,4\) do not form a chain"):
+			fm.mu_plus((4, 4, 4), lams, sums)
+		with pytest.raises(pt.InvariantError, match=r"no like-shaped partition above \(6,3,3\)"):
+			fm.mu_plus((6, 3, 3), lams, sums)
 
 
 class TestWeight2Matrix:
@@ -192,6 +219,15 @@ class TestWeight2Matrix:
 		m = fm.formula_matrix(b)
 		o = cb.canonical_basis(b)
 		assert (m.rows, m.cols, dense(m)) == (o.rows, o.cols, dense(o))
+
+	@pytest.mark.parametrize("h", [9, 11, 13])
+	def test_matches_oracle_beyond_the_gate(self, h):
+		# the gate's weight-2 sweep stops at h = 7; every block with a core
+		# up to size 12 at h = 9, 11 and 13 (173 blocks in all)
+		blocks = [pt.BlockId(h, core, 2) for core in pt.enumerate_cores(h, 12)]
+		assert len(blocks) == {9: 45, 11: 58, 13: 70}[h]
+		for b in blocks:
+			assert fm.formula_matrix(b) == cb.canonical_basis(b), b
 
 	def test_labels_cover_all_nonzero_entries(self):
 		b = pt.BlockId(5, (1,), 2)

@@ -434,6 +434,37 @@ def test_each_named_check_fails_on_its_mutant(monkeypatch, name):
 	assert failed[check].startswith(detail), failed[check]
 
 
+def test_transport_reads_each_column_once(monkeypatch):
+	# the first failing row is the one a cell-by-cell read through entry
+	# finds, each call reads its two columns once, and an image outside
+	# the target block raises as entry does
+	d = [x for x in pr.detect_pairs((2,), 5) if x.i == 2][0]
+	ms = cb.canonical_basis(pt.BlockId(5, d.source, 2))
+	mt = cb.canonical_basis(pt.BlockId(5, d.target, 2))
+	images = {lam: pr.psi(lam, d.i, 5) for lam in ms.rows}
+
+	def by_entry(images, mu):
+		return next((lam for lam in ms.rows
+			if ms.entry(lam, mu) != mt.entry(images[lam], images[mu])), None)
+
+	reads = []
+	column = cb.CanonicalBasisMatrix._column
+	monkeypatch.setattr(cb.CanonicalBasisMatrix, "_column",
+		lambda self, mu: reads.append(mu) or column(self, mu))
+	x, y = (9, 2, 1), (10, 2)
+	swapped = {**images, x: images[y], y: images[x]}
+	for mu in ms.cols:
+		for imgs in (images, swapped):
+			want = by_entry(imgs, mu)
+			del reads[:]
+			assert pr._transport_failure(ms, mt, imgs, ms.rows, mu) == want
+			assert len(reads) == 2
+	assert by_entry(swapped, (5, 5, 2)) == x
+	outside = {**images, ms.rows[1]: (99,)}
+	with pytest.raises(ValueError, match=r"^\(99\) is not a row of "):
+		pr._transport_failure(ms, mt, outside, ms.rows, ms.cols[0])
+
+
 def test_pair_and_formula_checks_survive_optimised_mode():
 	# python -O strips asserts, but not these checks: a psi that fixes
 	# everything breaks the triples' permutation, a reversed weight-1 chain
@@ -466,9 +497,9 @@ def test_pair_and_formula_checks_survive_optimised_mode():
 		except pt.InvariantError as e:
 			print(e)
 		lams = [(6, 3, 3), (5, 5, 2), (4, 4, 4)]
-		profiles = {lam: fm.Weight2Profile((), (), 1, "black") for lam in lams}
+		sums = {lam: pt.prefix_sums(lam) for lam in lams}
 		try:
-			fm.mu_plus((4, 4, 4), profiles)
+			fm.mu_plus((4, 4, 4), sorted(lams), sums)
 		except pt.InvariantError as e:
 			print(e)
 		try:

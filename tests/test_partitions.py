@@ -280,6 +280,19 @@ def test_bar_removal_examples():
 	assert pt.bar_weight((6, 4), 5) == 2
 
 
+@pytest.mark.parametrize("h", [3, 5, 7])
+def test_bar_addition_inverts_bar_removal(h):
+	# mu is one h-bar addition to lam exactly when lam is one h-bar
+	# removal from mu, and each addition comes once
+	for m in range(0, 15):
+		for lam in pt.enumerate_h_strict(m, h):
+			up = pt.add_h_bar_all(lam, h)
+			assert len(set(up)) == len(up)
+			assert sorted(up) == [mu for mu in pt.enumerate_h_strict(m + h, h)
+				if lam in {nu for nu, _ in pt.remove_h_bar_all(mu, h)}], lam
+	assert sorted(pt.add_h_bar_all((4,), 5)) == [(4, 3, 2), (5, 4), (9,)]
+
+
 @pytest.mark.parametrize("h", [3, 5])
 def test_core_determined_by_content(h):
 	# equal bar-core <=> equal residue multiset, among equal-size partitions
@@ -409,11 +422,12 @@ class TestBlockId:
 
 
 class TestMemberTable:
-	"""enumerate_block and enumerate_cores read one table of the h-strict
-	partitions of each (h, size), grouped by bar-core."""
+	"""enumerate_block grows a block from its bar-core by adding h-bars,
+	and enumerate_cores builds the cores from runner surpluses; both must
+	agree with filtering every h-strict partition by its bar-core."""
 
 	def test_every_block_matches_a_bar_core_filter(self):
-		for h in (3, 5, 7):
+		for h in (3, 5, 7, 9, 11, 13):
 			for m in range(25):
 				cored = [(lam, pt.bar_core(lam, h)) for lam in pt.enumerate_h_strict(m, h)]
 				cores = sorted({core for _lam, core in cored})
@@ -424,13 +438,16 @@ class TestMemberTable:
 						[lam for lam, c in cored if c == core], block
 
 	def test_cores_match_an_is_core_filter(self):
-		for h in (3, 5, 7, 9):
+		for h in (3, 5, 7, 9, 11, 13):
 			want = [t for m in range(21) for t in pt.enumerate_h_strict(m, h)
 				if pt.is_core(t, h)]
 			assert pt.enumerate_cores(h, 20) == want
 
-	def test_a_second_block_of_one_size_makes_no_bar_core_calls(self, monkeypatch):
-		first, second = pt.BlockId(5, (4,), 2), pt.BlockId(5, (3, 1), 2)
+	def test_a_block_grows_without_bar_cores_outside_it(self, monkeypatch):
+		# a large core at a large h: its 44 members come from the core,
+		# with no bar-core taken of any partition outside the block (a scan
+		# of size 75 would take one per 15-strict partition of 75)
+		block = pt.BlockId(15, (29, 14, 2), 2)
 		calls = []
 		bar_core = pt.bar_core
 
@@ -438,13 +455,11 @@ class TestMemberTable:
 			calls.append(lam)
 			return bar_core(lam, h)
 
-		pt._members_by_core.cache_clear()
+		pt._block_members.cache_clear()
 		monkeypatch.setattr(pt, "bar_core", counted)
-		assert pt.enumerate_block(first)
-		assert sorted(calls) == sorted(pt.enumerate_h_strict(14, 5))
-		del calls[:]
-		assert pt.enumerate_block(second)
-		assert calls == []
+		members = pt.enumerate_block(block)
+		assert len(members) == 44
+		assert set(calls) <= set(members)
 
 	def test_returned_lists_are_fresh(self):
 		block = pt.BlockId(5, (1,), 2)
