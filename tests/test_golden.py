@@ -37,8 +37,9 @@ import barfock.partitions as pt
 CORPUS = {(3, 3): 6, (5, 3): 6, (7, 3): 6, (3, 4): 6, (5, 4): 6}
 # the acceptance sweeps' bounds (tests/test_acceptance.py W1_CORES, W2_CORES)
 SWEEP = {(3, 1): 15, (5, 1): 15, (7, 1): 15, (3, 2): 10, (5, 2): 10, (7, 2): 8}
-# h -> largest partition size: the gate's MEMBER_BOUNDS, and h=9 up to 30
-SIGNATURE_BOUNDS = {3: 22, 5: 30, 7: 36, 9: 30}
+# h -> largest partition size: the gate's MEMBER_BOUNDS, h=9 up to 30, and
+# h=11 and 13 up to 38, past 2h, so repeated multiples of h are covered
+SIGNATURE_BOUNDS = {3: 22, 5: 30, 7: 36, 9: 30, 11: 38, 13: 38}
 HERE = os.path.dirname(__file__)
 SWEEP_PATH = os.path.join(HERE, "golden_cb_sweep.json")
 CONSUMER_PATH = os.path.join(HERE, "golden_consumer.json")
