@@ -36,7 +36,8 @@ is `_CACHE`, a plain dict that bench/tracer.py's cache probe reads:
 - `partitions._block_members`: a block's members, lex ascending, by
   (h, core, weight); unbounded, one entry per block enumerated and per
   block of the same core at each lower weight, which it grows from;
-- `partitions._residue_table`: one residue tuple per h.
+- `partitions._edge_table`: per (i, h), two tuples of h small counts; one
+  entry per residue and h the process walks.
 Nothing else in `src/` keeps state between calls.
 """
 
@@ -54,6 +55,9 @@ from .laurent import COEFF_BOUND, ONE, ZERO, add_product, symmetric_correction
 # i-signatures
 # ---------------------------------------------------------------------------
 
+_SHARED = "addable and removable %d-nodes share a column on %s"
+
+
 def _signature(lam, i, h):
 	"""Normal and conormal i-nodes of lam, as two lists of (row, col)
 	ascending by column.
@@ -61,18 +65,25 @@ def _signature(lam, i, h):
 	The i-signature lists the addable (+) and removable (-) i-nodes in
 	ascending column order; cancelling adjacent +- pairs, stack style,
 	leaves some -'s followed by some +'s, the normal and conormal nodes.
-	Both are read off in one walk over the merged nodes.  The two kinds
-	never share a column; that is load-bearing for the reduction and
-	therefore checked.
+	Both are read off in one walk over the merged nodes.  With one kind
+	absent nothing cancels: the removable nodes are the normal ones and
+	the addable the conormal ones.  No two nodes share a column; that is
+	load-bearing for the reduction and therefore checked.
 	"""
-	merged = [(c, r, 1) for r, c in pt.addable_i_nodes(lam, i, h)]
-	merged += [(c, r, -1) for r, c in pt.removable_i_nodes(lam, i, h)]
+	add = pt.addable_i_nodes(lam, i, h)
+	rem = pt.removable_i_nodes(lam, i, h)
+	if not (add and rem):
+		nodes = add or rem
+		pt.require(len({c for _, c in nodes}) == len(nodes), _SHARED, i, lam)
+		return rem, add
+	merged = [(c, r, 1) for r, c in add]
+	merged += [(c, r, -1) for r, c in rem]
 	merged.sort()
 	normal, conormal = [], []  # conormal: the +'s nothing has cancelled yet
 	last = 0  # columns start at 1
 	for c, r, sym in merged:
-		pt.require(c != last,
-			"addable and removable %d-nodes share a column on %s", i, lam)
+		if c == last:
+			pt.require(False, _SHARED, i, lam)
 		last = c
 		if sym > 0:
 			conormal.append((r, c))
@@ -92,7 +103,9 @@ def psi(lam, i, h):
 	"""The signature involution: flip the surviving +/- imbalance."""
 	norm, conorm = _signature(lam, i, h)
 	r, s = len(norm), len(conorm)
-	if s >= r:
+	if s == r:  # balanced: psi fixes lam
+		return tuple(lam)
+	if s > r:
 		mu = pt.move_nodes(lam, conorm[: s - r], h, 1)
 	else:
 		mu = pt.move_nodes(lam, norm[s - r:], h, -1)

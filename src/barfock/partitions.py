@@ -66,18 +66,16 @@ def is_restricted(lam, h):
 	"""Successive gaps bounded by h, with equality allowed only off 0 mod h.
 
 	The condition is applied for every row r including the one past the end
-	(so a single part h is already not restricted).
+	(so a single part h is already not restricted).  The walk over the gaps
+	also checks that lam is h-strict, so it never stops early.
 	"""
-	if not is_h_strict(lam, h):
-		raise ValueError("%s is not %d-strict" % (partition_str(lam), h))
-	for r in range(len(lam)):
-		nxt = lam[r + 1] if r + 1 < len(lam) else 0
-		if nxt > lam[r] - h:
-			continue
-		if nxt == lam[r] - h and lam[r] % h != 0:
-			continue
-		return False
-	return True
+	restricted = not lam or lam[-1] < h  # the gap past the end is the last part
+	for a, nxt in zip(lam, lam[1:]):
+		if nxt >= a and a % h:
+			raise ValueError("%s is not %d-strict" % (partition_str(lam), h))
+		if a - nxt > h or (a - nxt == h and a % h == 0):
+			restricted = False
+	return restricted
 
 
 def residue(c, h):
@@ -100,11 +98,12 @@ def residue(c, h):
 # (a larger one, of the row below), so this pointwise optimum is admissible
 # and is the unique optimum of the total.
 #
-# A column's residue depends only on c % h, so both walks read it from one
-# table per h.  A residue outside 0..n matches no column, so a walk over it
-# finds no nodes, and only an empty result pays for the range check.  They
-# try a row's options farthest first and pass over a row whose edge column
-# has another residue: it keeps its length.
+# A column's residue depends only on c % h, so whether a row of length a
+# has i-nodes at its edge depends only on a % h: both walks read, per row,
+# how many of its edge columns are i-columns from one table per (i, h).  A
+# row whose count is 0 keeps its length.  Building the table checks that i
+# lies in 0..n, so the range error comes before any walk.  They try a
+# row's options farthest first, and sort only a result of two or more nodes.
 #
 # The per-row rule is stated here and nowhere else in the package:
 # - the walks below (per-row options, the pointwise optimum) give lam's
@@ -122,61 +121,66 @@ _BY_COLUMN = itemgetter(1, 0)
 
 
 @cache
-def _residue_table(h):
-	"""The residue of column c, at index c % h."""
-	return tuple(residue(c, h) for c in range(h))
+def _edge_table(i, h):
+	"""(strip, grow): at index a % h, how many i-columns a row of length a
+	has at its edge, 0, 1 or 2, counted outward from it: columns a, a - 1
+	(strip) and a + 1, a + 2 (grow), the second only if the first is one.
 
-
-def _residue_error(i, h):
-	return ValueError("residue %r out of range 0..%d for h=%d" % (i, n_of(h), h))
+	Column 0 does not exist, but a row of length 1 is never stripped past
+	length 0, so the strip count at a = 1, read as that of a = h + 1, does
+	no harm.  A residue outside 0..n raises ValueError.
+	"""
+	if not 0 <= i <= h // 2:  # h // 2 is n
+		raise ValueError("residue %r out of range 0..%d for h=%d" % (i, n_of(h), h))
+	hit = [residue(c, h) == i for c in range(h)]
+	return (tuple(hit[a] * (1 + hit[a - 1]) for a in range(h)),
+		tuple(hit[(a + 1) % h] * (1 + hit[(a + 2) % h]) for a in range(h)))
 
 
 def removable_i_nodes(lam, i, h):
 	"""Nodes removed in passing to the smallest h-strict subpartition whose
 	complement consists of i-nodes; increasing column order, ties by row."""
-	res = _residue_table(h)
+	strip = _edge_table(i, h)[0]
 	nodes = []
 	below = 0
-	for r in range(len(lam) - 1, -1, -1):
-		old = v = lam[r]  # the unchanged length always fits
-		if res[old % h] == i:
-			low = old - 2 if old >= 2 and res[(old - 1) % h] == i else old - 1
-			for w in range(low, old):
+	for r in range(len(lam), 0, -1):
+		old = v = lam[r - 1]  # the unchanged length always fits
+		k = strip[old % h]
+		if k:
+			for w in range(old - k, old):  # w >= below >= 0 for any w taken
 				if w > below or (w == below and w % h == 0):
-					nodes.append((r + 1, old))
+					nodes.append((r, old))
 					if w < old - 1:
-						nodes.append((r + 1, old - 1))
+						nodes.append((r, old - 1))
 					v = w
 					break
 		below = v
-	if not nodes and not 0 <= i <= h // 2:  # h // 2 is n
-		raise _residue_error(i, h)
-	nodes.sort(key=_BY_COLUMN)
+	if len(nodes) > 1:
+		nodes.sort(key=_BY_COLUMN)
 	return nodes
 
 
 def addable_i_nodes(lam, i, h):
 	"""Dual of removable_i_nodes: the difference against the largest h-strict
 	superpartition reachable by adding i-nodes."""
-	res = _residue_table(h)
+	grow = _edge_table(i, h)[1]
 	nodes = []
 	above = float("inf")
 	# at most one new row, necessarily a single node, and only for i = 0
-	for r, old in enumerate((*lam, 0) if i == 0 else lam):
+	for r, old in enumerate((*lam, 0) if i == 0 else lam, 1):
 		v = old  # the unchanged length always fits
-		if res[(old + 1) % h] == i:
-			high = old + 2 if res[(old + 2) % h] == i else old + 1
-			for w in range(high, old, -1):
+		k = grow[old % h]
+		if k:
+			for w in range(old + k, old, -1):
 				if w < above or (w == above and w % h == 0):
-					nodes.append((r + 1, old + 1))
+					nodes.append((r, old + 1))
 					if w > old + 1:
-						nodes.append((r + 1, w))
+						nodes.append((r, w))
 					v = w
 					break
 		above = v
-	if not nodes and not 0 <= i <= h // 2:  # h // 2 is n
-		raise _residue_error(i, h)
-	nodes.sort(key=_BY_COLUMN)
+	if len(nodes) > 1:
+		nodes.sort(key=_BY_COLUMN)
 	return nodes
 
 
@@ -317,15 +321,21 @@ def flush_surplus(surplus, h):
 def bar_core(lam, h):
 	"""The bar-core: lam's runner surpluses, counted from its parts, flushed
 	by flush_surplus.  A part a puts a bead on runner a and takes one off
-	runner -a (see the abacus module)."""
+	runner -a (see the abacus module).  The same pass checks that each part
+	is a positive integer, at most the one above it and, if equal to it, a
+	multiple of h; only a part that fails goes back to check_partition for
+	the message."""
 	check_h(h)
-	lam = check_partition(lam)
-	if not is_h_strict(lam, h):
-		raise ValueError("%s is not %d-strict" % (partition_str(lam), h))
+	lam = tuple(lam)
 	surplus = [0] * h
+	above = float("inf")
 	for a in lam:
+		if not (isinstance(a, int) and 0 < a and (a < above or (a == above and a % h == 0))):
+			check_partition(lam)  # raises unless lam only fails to be h-strict
+			raise ValueError("%s is not %d-strict" % (partition_str(lam), h))
 		surplus[a % h] += 1
 		surplus[-a % h] -= 1
+		above = a
 	require(surplus[0] == 0, "runner 0 out of balance on %s", lam)
 	return flush_surplus(surplus, h)
 

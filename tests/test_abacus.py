@@ -114,6 +114,9 @@ def test_bar_core_rejects_bad_input():
 		pt.bar_core((1, 4), 5)
 	with pytest.raises(ValueError, match="positive integers"):
 		pt.bar_core((4, 0), 5)
+	with pytest.raises(ValueError, match="positive integers"):
+		pt.bar_core((4.0, 1), 5)
+	assert pt.bar_core([9, 6, 3, 1], 5) == pt.bar_core((9, 6, 3, 1), 5) == (3, 1)
 
 
 def test_core_of_9631():

@@ -116,6 +116,16 @@ class TestPsi:
 		assert pt.addable_i_nodes(lam, 0, 3) == []
 		assert cb.psi(lam, 0, 3) == ()
 
+	def test_balanced_signature_returns_lam(self):
+		# as many normal as conormal nodes, none or one each: psi fixes lam
+		# and returns it as a tuple, also when given a list
+		for lam, i, count in (((5, 4, 2, 1), 1, 0), ((4, 2), 1, 1)):
+			norm, conorm = cb._signature(lam, i, 3)
+			assert len(norm) == len(conorm) == count
+			for given in (lam, list(lam)):
+				img = cb.psi(given, i, 3)
+				assert type(img) is tuple and img == lam
+
 
 class TestPeel:
 	def test_empty_word(self):
@@ -452,7 +462,8 @@ def test_invariants_survive_optimised_mode():
 def test_psi_checks_survive_optimised_mode():
 	# patched node sets: an addable node in the column of the removable
 	# (4, 1), then a lone addable node (1, 7) that leaves column 6 of row 1
-	# empty; psi must refuse both under python -O
+	# empty, then two addable nodes in column 6 with no removable ones;
+	# psi must refuse all three under python -O
 	script = textwrap.dedent("""
 		import barfock.canonical as cb
 		import barfock.partitions as pt
@@ -461,7 +472,8 @@ def test_psi_checks_survive_optimised_mode():
 		real = pt.addable_i_nodes
 		for add, remove in (
 				(lambda lam, i, h: real(lam, i, h) + [(5, 1)], pt.removable_i_nodes),
-				(lambda lam, i, h: [(1, 7)], lambda lam, i, h: [])):
+				(lambda lam, i, h: [(1, 7)], lambda lam, i, h: []),
+				(lambda lam, i, h: [(1, 6), (2, 6)], lambda lam, i, h: [])):
 			pt.addable_i_nodes, pt.removable_i_nodes = add, remove
 			try:
 				cb.psi(lam, 0, 3)
@@ -477,6 +489,7 @@ def test_psi_checks_survive_optimised_mode():
 		"addable and removable 0-nodes share a column on (5,4,2,1)",
 		"psi_0: the unmatched nodes of (5,4,2,1) do not move contiguously "
 		"to an h-strict partition",
+		"addable and removable 0-nodes share a column on (5,4,2,1)",
 	]
 
 

@@ -228,6 +228,34 @@ def test_node_sets_refuse_a_residue_out_of_range(walk):
 				walk(lam, i, 5)
 
 
+def _edge_run(cols, i, h):
+	"""How many of cols, from the first on, are i-columns."""
+	k = 0
+	for c in cols:
+		if pt.residue(c, h) != i:
+			break
+		k += 1
+	return k
+
+
+def test_edge_table_counts_the_i_columns_at_a_rows_edge():
+	for h in range(3, 16, 2):
+		for i in range(pt.n_of(h) + 1):
+			strip, grow = pt._edge_table(i, h)
+			assert len(strip) == len(grow) == h
+			for a in range(1, 3 * h + 1):
+				assert grow[a % h] == _edge_run((a + 1, a + 2), i, h), (h, i, a)
+				# column 0 does not exist: at a = 1 the table reads as at
+				# a = h + 1, where column h has residue 0 like column 0 would
+				b = a + h if a == 1 else a
+				assert strip[a % h] == _edge_run((b, b - 1), i, h), (h, i, a)
+			assert strip[1] == (2 if i == 0 else 0)
+		# a row of length 1 still loses one node, with the same table entry
+		# as a row of length h + 1, which loses two
+		assert pt.removable_i_nodes((1,), 0, h) == [(1, 1)]
+		assert pt.removable_i_nodes((h + 1, 1), 0, h) == [(2, 1), (1, h), (1, h + 1)]
+
+
 def test_node_set_shapes():
 	# new rows can only ever be a single node in column 1, residue 0
 	for lam in pt.enumerate_h_strict(9, 5):
