@@ -23,9 +23,11 @@ builds its entries, which holds its key, bound and reset; the exception
 is `_CACHE`, a plain dict that bench/tracer.py's cache probe reads:
 - `fock._image`: f/e images by (lam, i, k, h, direction); the one LRU
   cache, of `fock.IMAGE_CACHE_SIZE` entries;
-- `fock._partitions`: one {partition: partition} table by h, whose
-  objects every image and column holds; unbounded, one entry per
-  partition an image reaches (35,727 at h=7 w=8);
+- `fock._partitions`: by h, the partition table, one record per
+  partition: the tuple object every image and column holds, its h-content
+  and its prefix sums, which the oracle's per-term checks read; and one
+  tuple per distinct h-content.  Unbounded, one record per partition an
+  image, the vacuum or a target column reaches (35,770 at h=7 w=8);
 - `fock._coefficient`: by (exponent, bar factors); unbounded (105 at h=7 w=8);
 - `_store`: columns and interned coefficients by h; unbounded, one
   column per restricted partition the process reaches.  A column is a
@@ -318,8 +320,77 @@ _CACHE = {}  # finished matrices, by block
 @cache
 def _store(h):
 	"""h's columns by mu, from the vacuum on, and interned coefficients."""
-	vacuum = fock._partitions(h).setdefault((), ())
+	vacuum = fock._record((), h)[0]
 	return {vacuum: Column((vacuum,), (ONE,))}, {}
+
+
+def _column(mu, block):
+	"""G(mu), read from h's store or built into it by the recursion and
+	checks that canonical_basis states; block only names the call in the
+	messages.  A column built here is left in the store as its placeholder
+	None if a check below it raises; canonical_basis takes those out."""
+	h = block.h
+	G, coeffs = _store(h)  # coeffs: one object per distinct coefficient, by (lo, p)
+	if mu in G:
+		pt.require(G[mu] is not None,
+			"%s: columns depend on each other in a cycle at %s", block, mu)
+		return G[mu]
+	mu, content, sums = fock._record(mu, h)
+	G[mu] = None  # in progress
+	nu, i, k = string_top(mu, h)
+	# apply_f's result is a fresh dict: the column is built in it
+	terms = fock.apply_f(fock.FockVector.wrap(h, _column(nu, block)), i, k).terms
+	lead = terms.get(mu, ZERO)
+	pt.require((lead - ONE).divisible_by_q(),
+		"%s, column %s: f_%d^(%d) G%s is not unitriangular (lead %s)",
+		block, mu, i, k, nu, lead)
+	heap = sorted(terms)
+	while heap:
+		bad = heapq.heappop(heap)
+		c = terms.get(bad)
+		if bad == mu or c is None or c.lo >= 1:  # terms are zero-free
+			continue
+		pt.require(pt.is_restricted(bad, h),
+			"%s, column %s: correction needed at non-restricted %s", block, mu, bad)
+		minus_s = -symmetric_correction(c)
+		correction = _column(bad, block)
+		# a finished column is lex ascending: its first term is its least
+		pt.require(correction.lams[0] >= bad, "%s, column %s: the correction "
+			"G%s reaches below itself at %s", block, mu, bad, correction.lams[0])
+		for lam, d in correction.items():
+			if lam not in terms:
+				heapq.heappush(heap, lam)
+			e = add_product(terms.get(lam, ZERO), minus_s, d)
+			if e.p:
+				terms[lam] = e
+			else:
+				del terms[lam]
+	pt.require(terms.get(mu) == ONE,
+		"%s, column %s: leading coefficient is not 1", block, mu)
+	known = fock._partitions(h)[0].get
+	lams = tuple(sorted(terms))
+	values = []
+	for lam in lams:
+		c = terms[lam]
+		rec = known(lam) or fock._record(lam, h)
+		pt.require(rec[1] == content,
+			"%s, column %s: h-content differs at %s", block, mu, lam)
+		if lam != mu:
+			pt.require(c.lo >= 1,
+				"%s, column %s: off-diagonal entry at %s not in qZ[q]", block, mu, lam)
+			pt.require(pt.sums_dominate(rec[2], sums),
+				"%s, column %s: support fails dominance at %s", block, mu, lam)
+		key = c.lo, c.p
+		kept = coeffs.get(key)
+		if kept is None:
+			kept = c.tight()  # its bound is its height, so bounds start afresh
+			pt.require(kept.bound <= COEFF_BOUND,
+				"%s, column %s: coefficient %s at %s exceeds the bound %d",
+				block, mu, c, lam, COEFF_BOUND)
+			coeffs[key] = kept
+		values.append(kept)
+	G[mu] = col = Column(lams, tuple(values))
+	return col
 
 
 def canonical_basis(block):
@@ -339,7 +410,10 @@ def canonical_basis(block):
 
 	G is the module's column store for h: every call reads it and adds
 	the columns it builds, the G(nu) of smaller blocks that the recursion
-	reaches included.  The canonical basis is unique, so a column is the
+	reaches included.  _column reads or builds one column, recursing on
+	G(nu) and the corrections; this call enumerates the block, asks for
+	its restricted columns lex descending, and assembles the matrix, so
+	it keeps no state of its own.  The canonical basis is unique, so a column is the
 	same whichever block asked for it, and each one is built and checked
 	once.  Whether a column stays inside the block depends on the block,
 	so that check runs on every target column when the matrix is
@@ -348,9 +422,10 @@ def canonical_basis(block):
 	placeholder is None, and a call that raises removes its placeholders,
 	so the store only ever holds fully checked columns.
 
-	The per-term checks of a finished column read one record per partition
-	per call, built the first time the call meets the partition: its
-	h-content and its prefix sums.  Equal h-content means equal size, so
+	The per-term checks of a finished column read each term's record in
+	fock's partition table, made once per process when an image first
+	reaches the partition: its h-content, one tuple per distinct value, and
+	its prefix sums.  Equal h-content means equal size, so
 	once the content check passes, dominance compares prefix sums
 	(partitions.sums_dominate).  Terms are zero-free, so the qZ[q] test is
 	lo >= 1.  Coefficients are interned by (lo, p); the first time a value
@@ -366,87 +441,14 @@ def canonical_basis(block):
 	h = block.h
 	parts = pt.enumerate_block(block)
 	restricted = [p for p in parts if pt.is_restricted(p, h)]
-	G, coeffs = _store(h)  # coeffs: one object per distinct coefficient, by (lo, p)
-	intern = fock._partitions(h).setdefault
-	records = {}  # per partition: (h-content, prefix sums); columns share most terms
-	contents = {}  # one tuple per distinct h-content, shared by the records
-
-	def record(lam):
-		content = pt.h_content(lam, h)
-		rec = records[lam] = (contents.setdefault(content, content), pt.prefix_sums(lam))
-		return rec
-
-	def column(mu):
-		if mu in G:
-			pt.require(G[mu] is not None,
-				"%s: columns depend on each other in a cycle at %s", block, mu)
-			return G[mu]
-		mu = intern(mu, mu)
-		G[mu] = None  # in progress
-		nu, i, k = string_top(mu, h)
-		# apply_f's result is a fresh dict: the column is built in it
-		terms = fock.apply_f(fock.FockVector.wrap(h, column(nu)), i, k).terms
-		lead = terms.get(mu, ZERO)
-		pt.require((lead - ONE).divisible_by_q(),
-			"%s, column %s: f_%d^(%d) G%s is not unitriangular (lead %s)",
-			block, mu, i, k, nu, lead)
-		heap = sorted(terms)
-		while heap:
-			bad = heapq.heappop(heap)
-			c = terms.get(bad)
-			if bad == mu or c is None or c.lo >= 1:  # terms are zero-free
-				continue
-			pt.require(pt.is_restricted(bad, h),
-				"%s, column %s: correction needed at non-restricted %s", block, mu, bad)
-			minus_s = -symmetric_correction(c)
-			correction = column(bad)
-			# a finished column is lex ascending: its first term is its least
-			pt.require(correction.lams[0] >= bad, "%s, column %s: the correction "
-				"G%s reaches below itself at %s", block, mu, bad, correction.lams[0])
-			for lam, d in correction.items():
-				if lam not in terms:
-					heapq.heappush(heap, lam)
-				e = add_product(terms.get(lam, ZERO), minus_s, d)
-				if e.p:
-					terms[lam] = e
-				else:
-					del terms[lam]
-		pt.require(terms.get(mu) == ONE,
-			"%s, column %s: leading coefficient is not 1", block, mu)
-		content, sums = records.get(mu) or record(mu)
-		lams = tuple(sorted(terms))
-		values = []
-		for lam in lams:
-			c = terms[lam]
-			rec = records.get(lam) or record(lam)
-			pt.require(rec[0] == content,
-				"%s, column %s: h-content differs at %s", block, mu, lam)
-			if lam != mu:
-				pt.require(c.lo >= 1,
-					"%s, column %s: off-diagonal entry at %s not in qZ[q]", block, mu, lam)
-				pt.require(pt.sums_dominate(rec[1], sums),
-					"%s, column %s: support fails dominance at %s", block, mu, lam)
-			key = c.lo, c.p
-			kept = coeffs.get(key)
-			if kept is None:
-				kept = c.tight()  # its bound is its height, so bounds start afresh
-				pt.require(kept.bound <= COEFF_BOUND,
-					"%s, column %s: coefficient %s at %s exceeds the bound %d",
-					block, mu, c, lam, COEFF_BOUND)
-				coeffs[key] = kept
-			values.append(kept)
-		G[mu] = col = Column(lams, tuple(values))
-		return col
-
+	G = _store(h)[0]
 	try:
 		for mu in sorted(restricted, reverse=True):
-			column(mu)
+			_column(mu, block)
 	except BaseException:
 		for mu in [m for m, vec in G.items() if vec is None]:
 			del G[mu]
 		raise
-	finally:
-		del column  # it refers to itself; unbound, the call's dicts are freed on return
 	out = CanonicalBasisMatrix(block, parts, {mu: G[mu] for mu in restricted})
 	for mu, col in out.columns.items():
 		if not out._members.issuperset(col):

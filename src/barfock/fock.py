@@ -26,10 +26,12 @@ a block and across blocks, and the cache is keyed by the whole input, so
 every caller (the oracle on every block, the pair checks) shares it.
 Sharing is safe because an image is immutable: a tuple of partitions and
 Laurent values, and callers get a FockVector over a fresh dict built from
-it.  Equal coefficients are one Laurent object, and each target is the one
-object that _partitions(h) holds for its partition, so the cached images,
-and the canonical-basis columns built from them, keep each partition and
-each coefficient once.
+it.  Equal coefficients are one Laurent object, and each target is the
+partition object of its record in _partitions(h), h's one partition table,
+so the cached images, and the canonical-basis columns built from them, keep
+each partition and each coefficient once.  A record also holds the
+partition's h-content and prefix sums, which the canonical-basis oracle's
+per-term checks read: they are computed once per partition per process.
 The library's own vectors come from FockVector.wrap, which takes a clean
 dict as it is; the checking constructor is for callers outside.
 """
@@ -141,16 +143,31 @@ def _q_i_exponent(i, h):
 
 @cache
 def _partitions(h):
-	"""h's partition table: each partition, by itself, as the one tuple
-	object that every image and canonical-basis column holds for it."""
-	return {}
+	"""h's partition table and its h-contents.  The table maps each
+	partition to its record (lam, h-content, prefix sums), which _record
+	makes the first time an image, the vacuum or a canonical-basis target
+	reaches the partition: lam is the one tuple object that every image and
+	column holds for it, and the h-content the one tuple that the second
+	dict holds for its value, by itself."""
+	return {}, {}
+
+
+def _record(lam, h):
+	"""lam's record in _partitions(h), made on first sight."""
+	table, contents = _partitions(h)
+	rec = table.get(lam)
+	if rec is None:
+		content = pt.h_content(lam, h)
+		rec = table[lam] = lam, contents.setdefault(content, content), pt.prefix_sums(lam)
+	return rec
 
 
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def _image(lam, i, k, h, raising):
 	"""f_i^(k) lam (raising) or e_i^(k) lam (lowering) on one basis vector,
 	as one flat tuple (mu, coefficient, mu, coefficient, ...) by the rule
-	in the module docstring; each mu is _partitions(h)'s object.
+	in the module docstring; each mu is its record's object in
+	_partitions(h).
 
 	Let lam+ be lam completed by its addable i-nodes.  Every h-strict mu
 	reached from lam by adding i-nodes lies rowwise between lam and lam+,
@@ -196,7 +213,7 @@ def _image(lam, i, k, h, raising):
 		for r, node in zip(ranks, reach)}.__getitem__
 	step = _q_i_exponent(i, h)
 	pairs = k * (k - 1) // 2
-	intern = _partitions(h).setdefault
+	known = _partitions(h)[0].get
 	out = []
 	for nodes in combinations(reach, k):
 		mu = pt.move_nodes(lam, nodes, h, sign)
@@ -209,7 +226,7 @@ def _image(lam, i, k, h, raising):
 			# the outer column of a pair {mh, mh+1} moved alone
 			mhs = [x - 1 if raising else x for x in cols if x - sign not in cols]
 			bs = tuple(sorted(lam.count(mh) for mh in mhs if mh and mh % h == 0))
-		out += intern(mu, mu), _coefficient(step * s, bs)
+		out += (known(mu) or _record(mu, h))[0], _coefficient(step * s, bs)
 	return tuple(out)
 
 
@@ -225,10 +242,13 @@ def _coefficient(e, bs):
 def _apply(vec, i, k, raising):
 	"""f_i^(k) (raising) or e_i^(k) (lowering) on a Fock vector: the sum of
 	its terms' cached images, each scaled by the term's coefficient.  The
-	result's terms are always a fresh dict, which the caller may keep."""
+	result's terms are always a fresh dict, which the caller may keep.  A
+	negative k and a residue outside 0..n are refused first, whatever k and
+	the vector are."""
 	if k < 0:
 		raise ValueError("divided powers need k >= 0, got k=%d" % k)
 	h = vec.h
+	pt._edge_table(i, h)  # refuses a residue outside 0..n, whatever k and vec
 	if k == 0:
 		return FockVector.wrap(h, dict(vec.terms))
 	acc = {}

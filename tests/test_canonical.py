@@ -302,11 +302,46 @@ class TestColumnStore:
 		# each partition is one tuple object per h: every key of every
 		# finished column is the object fock's partition table holds
 		cb.canonical_basis(pt.BlockId(5, (), 5))
-		table = cb.fock._partitions(5)
+		table = cb.fock._partitions(5)[0]
 		columns = cb._store(5)[0]
 		assert len(columns) > 100
 		for col in columns.values():
-			assert all(table[lam] is lam for lam in col.keys())
+			assert all(table[lam][0] is lam for lam in col.keys())
+
+	def test_rebuilt_columns_read_the_records_kept_per_process(self, clean_store,
+			monkeypatch):
+		# the records outlive the store: a rebuild computes no h-content and
+		# no prefix sums, and every term's record holds the partition's own,
+		# its h-content shared with every record of equal content
+		block = pt.BlockId(5, (), 5)
+		cb.canonical_basis(block)
+		clean_store()
+		real = pt.h_content, pt.prefix_sums
+		calls = []
+		monkeypatch.setattr(pt, "h_content", lambda *a: calls.append(a) or real[0](*a))
+		monkeypatch.setattr(pt, "prefix_sums", lambda *a: calls.append(a) or real[1](*a))
+		cb.canonical_basis(block)
+		assert calls == []
+		table, contents = cb.fock._partitions(5)
+		columns = cb._store(5)[0]
+		assert len(columns) > 100
+		for col in columns.values():
+			for lam in col:
+				assert table[lam] == (lam, real[0](lam, 5), real[1](lam))
+				assert table[lam][1] is contents[table[lam][1]]  # one per value
+
+	@pytest.mark.parametrize("field,message", [
+		(1, "h-content differs at (10)"), (2, "support fails dominance at (10)")])
+	def test_a_wrong_record_fails_its_check(self, clean_store, monkeypatch, field,
+			message):
+		# (10) is a non-restricted term of G(5,4,1) alone, so its record is
+		# read by that column's checks and by no other
+		rec = list(cb.fock._record((10,), 5))
+		rec[field] = (0,) * len(rec[field])
+		monkeypatch.setitem(cb.fock._partitions(5)[0], (10,), tuple(rec))
+		with pytest.raises(pt.InvariantError) as err:
+			cb.canonical_basis(pt.BlockId(5, (), 2))
+		assert str(err.value) == "h=5 core=() w=2, column (5,4,1): " + message
 
 	def test_store_containers_cost_under_30_bytes_per_term(self, clean_store):
 		# the bytes that the finished columns' containers hold, traced over a
@@ -457,6 +492,35 @@ def test_invariants_survive_optimised_mode():
 	assert proc.returncode == 0, proc.stderr
 	assert proc.stdout.startswith("h=5 core=() w=2, column (1): ")
 	assert "not unitriangular" in proc.stdout
+
+
+def test_record_checks_survive_optimised_mode():
+	# a record with a wrong h-content, then one with wrong prefix sums, for
+	# (10), a term of G(5,4,1) alone; python -O keeps both checks
+	script = textwrap.dedent("""
+		import barfock.canonical as cb
+		import barfock.partitions as pt
+		assert False, "reached only without -O"
+		table = cb.fock._partitions(5)[0]
+		real = cb.fock._record((10,), 5)
+		for field in (1, 2):
+			rec = list(real)
+			rec[field] = (0,) * len(rec[field])
+			table[(10,)] = tuple(rec)
+			try:
+				cb.canonical_basis(pt.BlockId(5, (), 2))
+			except pt.InvariantError as e:
+				print(e)
+	""")
+	src = os.path.dirname(os.path.dirname(os.path.abspath(cb.__file__)))
+	proc = subprocess.run([sys.executable, "-O", "-c", script],
+		capture_output=True, text=True, timeout=120,
+		env=dict(os.environ, PYTHONPATH=src))
+	assert proc.returncode == 0, proc.stderr
+	assert proc.stdout.splitlines() == [
+		"h=5 core=() w=2, column (5,4,1): h-content differs at (10)",
+		"h=5 core=() w=2, column (5,4,1): support fails dominance at (10)",
+	]
 
 
 def test_psi_checks_survive_optimised_mode():
