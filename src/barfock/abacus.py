@@ -10,8 +10,8 @@ vacuum (all negatives singly occupied): delta(p) = -delta(-p) everywhere.
 Removing an h-bar only ever moves beads up their runners, so the core's
 display is the fully flushed one; per-runner bead surpluses are invariant
 and determine the core outright.  The flush rule is stated once, in
-partitions.flush_surplus: core_via_abacus applies it to a display, and
-partitions.bar_core to surpluses counted straight from the parts.
+partitions.flush_surplus: core_via_abacus applies it to a display's
+surpluses, and partitions.bar_core to beads counted straight from the parts.
 """
 
 from . import partitions as pt
@@ -98,14 +98,15 @@ def core_via_abacus(a):
 	"""Flush every runner and read off the resulting partition.
 
 	The flush rule itself is partitions.flush_surplus, shared with
-	bar_core; this side checks that the display's surpluses balance.
+	bar_core; this side checks that the display's surpluses balance and
+	passes each as that many beads, a deficit as none.
 	"""
 	d = a.runner_surplus()
 	if d[0] != 0:
 		raise ValueError("runner 0 out of balance; not a partition display")
 	if any(d[k] != -d[-k] for k in range(1, a.h)):
 		raise ValueError("asymmetric surplus; not a partition display")
-	return pt.flush_surplus(d, a.h)
+	return pt.flush_surplus([max(x, 0) for x in d], a.h)
 
 
 def bar_positions(lam, block):

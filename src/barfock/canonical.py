@@ -67,32 +67,40 @@ def _signature(lam, i, h):
 	The i-signature lists the addable (+) and removable (-) i-nodes in
 	ascending column order; cancelling adjacent +- pairs, stack style,
 	leaves some -'s followed by some +'s, the normal and conormal nodes.
-	Both are read off in one walk over the merged nodes.  With one kind
-	absent nothing cancels: the removable nodes are the normal ones and
-	the addable the conormal ones.  No two nodes share a column; that is
-	load-bearing for the reduction and therefore checked.
+	Both node sets come column-ascending, so one two-pointer merge reads
+	the signature off them.  No two nodes share a column; that is
+	load-bearing for the reduction and checked: merged columns must rise
+	strictly, which also catches a walk out of order.
 	"""
 	add = pt.addable_i_nodes(lam, i, h)
 	rem = pt.removable_i_nodes(lam, i, h)
-	if not (add and rem):
-		nodes = add or rem
-		pt.require(len({c for _, c in nodes}) == len(nodes), _SHARED, i, lam)
+	if len(add) + len(rem) < 2:  # nothing to cancel, no column to share
 		return rem, add
-	merged = [(c, r, 1) for r, c in add]
-	merged += [(c, r, -1) for r, c in rem]
-	merged.sort()
 	normal, conormal = [], []  # conormal: the +'s nothing has cancelled yet
 	last = 0  # columns start at 1
-	for c, r, sym in merged:
-		if c == last:
+	pluses = iter(add)
+	plus = next(pluses, None)
+	for minus in rem:
+		c = minus[1]
+		while plus and plus[1] < c:
+			if plus[1] <= last:
+				pt.require(False, _SHARED, i, lam)
+			last = plus[1]
+			conormal.append(plus)
+			plus = next(pluses, None)
+		if c <= last:
 			pt.require(False, _SHARED, i, lam)
 		last = c
-		if sym > 0:
-			conormal.append((r, c))
-		elif conormal:
+		if conormal:
 			conormal.pop()
 		else:
-			normal.append((r, c))
+			normal.append(minus)
+	while plus:
+		if plus[1] <= last:
+			pt.require(False, _SHARED, i, lam)
+		last = plus[1]
+		conormal.append(plus)
+		plus = next(pluses, None)
 	return normal, conormal
 
 

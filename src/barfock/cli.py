@@ -48,9 +48,12 @@ def _partition_arg(text):
 
 def _h_list(text):
 	try:
-		return tuple(pt.check_h(int(tok)) for tok in text.split(","))
+		hs = tuple(pt.check_h(int(tok)) for tok in text.split(","))
 	except ValueError as e:
 		raise argparse.ArgumentTypeError(str(e))
+	if len(set(hs)) < len(hs):  # each of its blocks would run twice
+		raise argparse.ArgumentTypeError("each h may be listed once, got %s" % text)
+	return hs
 
 
 def build_parser():

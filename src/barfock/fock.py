@@ -36,7 +36,6 @@ The library's own vectors come from FockVector.wrap, which takes a clean
 dict as it is; the checking constructor is for callers outside.
 """
 
-from bisect import bisect_left
 from functools import cache, lru_cache
 from itertools import combinations
 
@@ -187,16 +186,15 @@ def _image(lam, i, k, h, raising):
 	and h=3 w=14 tries 206,521 for 132,823.
 
 	The exponent is read off per-node weights, computed once per image.
-	Signing the columns (negating them for e) makes "before" mean "left
-	of" for f and "right of" for e.  A reach node x gets w(x), the reach
-	nodes before it minus the blocking nodes (lam's i-nodes of the other
-	kind) before it.  A node set's exponent counts, for each moved node,
-	the unmoved reach nodes before it minus the blocking ones, which is
-	sum w(x) less one for each pair of moved nodes: k(k-1)/2, provided no
-	two reach nodes share a column, so that one of each pair is strictly
-	before the other.  No addable or removable node set repeats a column
-	(tests/test_partitions.py checks this on every h-strict lam up to size
-	20 at h = 3, 5, 7).
+	"Before" means "left of" for f and "right of" for e.  A reach node x
+	gets w(x), the reach nodes before it minus the blocking nodes (lam's
+	i-nodes of the other kind) before it.  A node set's exponent counts,
+	for each moved node, the unmoved reach nodes before it minus the
+	blocking ones, which is sum w(x) less one for each pair of moved
+	nodes: k(k-1)/2, provided no two reach nodes share a column, so that
+	one of each pair is strictly before the other.  Both node sets come
+	column-ascending and no column holds two of their nodes (see the walks
+	in partitions), so one merge of the two lists gives every weight.
 	"""
 	sign = 1 if raising else -1
 	reach_of, other_of = (pt.addable_i_nodes, pt.removable_i_nodes) if raising \
@@ -204,22 +202,22 @@ def _image(lam, i, k, h, raising):
 	reach = reach_of(lam, i, h)
 	if len(reach) < k:
 		return ()  # fewer than k nodes can move
-	blocking = sorted(sign * x for _, x in other_of(lam, i, h))
-	# reach is column-ascending with distinct columns, so the reach nodes
-	# before a node in the direction of travel number its index for f and
-	# the rest of reach for e
-	ranks = range(len(reach)) if raising else range(len(reach) - 1, -1, -1)
-	weight = {node: r - bisect_left(blocking, sign * node[1])
-		for r, node in zip(ranks, reach)}.__getitem__
+	blocking = other_of(lam, i, h)
+	shift = 0 if raising else len(reach) - len(blocking) - 1  # e counts from the right
+	weights, j = [], 0  # j: the blocking nodes left of reach[r]
+	for r, (_, x) in enumerate(reach):
+		while j < len(blocking) and blocking[j][1] < x:
+			j += 1
+		weights.append(shift + sign * (r - j))
 	step = _q_i_exponent(i, h)
 	pairs = k * (k - 1) // 2
 	known = _partitions(h)[0].get
 	out = []
-	for nodes in combinations(reach, k):
+	for nodes, ws in zip(combinations(reach, k), combinations(weights, k)):
 		mu = pt.move_nodes(lam, nodes, h, sign)
 		if mu is None:
 			continue
-		s = sum(map(weight, nodes)) - pairs
+		s = sum(ws) - pairs
 		bs = ()
 		if i == 0:
 			cols = [x for _, x in nodes]

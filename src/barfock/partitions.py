@@ -12,7 +12,7 @@ Only multiples of h may repeat in an "h-strict" partition, and the
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
-from operator import ge, itemgetter
+from operator import ge
 
 
 class InvariantError(AssertionError):
@@ -102,8 +102,15 @@ def residue(c, h):
 # has i-nodes at its edge depends only on a % h: both walks read, per row,
 # how many of its edge columns are i-columns from one table per (i, h).  A
 # row whose count is 0 keeps its length.  Building the table checks that i
-# lies in 0..n, so the range error comes before any walk.  They try a
-# row's options farthest first, and sort only a result of two or more nodes.
+# lies in 0..n, so the range error comes before any walk.  Each row takes
+# its farthest option that fits, read off directly, and the walks return
+# the nodes column-ascending, with no sort.  A row's nodes are one run of
+# at most two columns at its edge, and no node set repeats a column (that
+# would take a repeated part off 0 mod h, or adjacent i-columns of residues
+# 0 and 1), so a lower row's run lies wholly left of the runs above it:
+# removal, bottom-up, appends each row's inner node first; addition,
+# top-down, its outer node first, then reverses the list.
+# tests/test_partitions.py checks the order up to size 20 at h = 3, 5, 7.
 #
 # The per-row rule is stated here and nowhere else in the package:
 # - the walks below (per-row options, the pointwise optimum) give lam's
@@ -116,9 +123,6 @@ def residue(c, h):
 # move_nodes accepts, and canonical's psi and peel move signature nodes
 # through it.
 # ---------------------------------------------------------------------------
-
-_BY_COLUMN = itemgetter(1, 0)
-
 
 @cache
 def _edge_table(i, h):
@@ -139,48 +143,45 @@ def _edge_table(i, h):
 
 def removable_i_nodes(lam, i, h):
 	"""Nodes removed in passing to the smallest h-strict subpartition whose
-	complement consists of i-nodes; increasing column order, ties by row."""
+	complement consists of i-nodes, in increasing column order."""
 	strip = _edge_table(i, h)[0]
 	nodes = []
 	below = 0
 	for r in range(len(lam), 0, -1):
-		old = v = lam[r - 1]  # the unchanged length always fits
+		old = lam[r - 1]
 		k = strip[old % h]
 		if k:
-			for w in range(old - k, old):  # w >= below >= 0 for any w taken
-				if w > below or (w == below and w % h == 0):
-					nodes.append((r, old))
-					if w < old - 1:
-						nodes.append((r, old - 1))
-					v = w
-					break
-		below = v
-	if len(nodes) > 1:
-		nodes.sort(key=_BY_COLUMN)
+			# the farthest option above the new row below, or level at a multiple of h
+			w = old - k if old - k > below else below + (below % h > 0)
+			if w < old:  # else only the unchanged length fits
+				if w < old - 1:
+					nodes.append((r, old - 1))
+				nodes.append((r, old))
+				below = w
+				continue
+		below = old
 	return nodes
 
 
 def addable_i_nodes(lam, i, h):
 	"""Dual of removable_i_nodes: the difference against the largest h-strict
-	superpartition reachable by adding i-nodes."""
+	superpartition reachable by adding i-nodes, in increasing column order."""
 	grow = _edge_table(i, h)[1]
 	nodes = []
 	above = float("inf")
 	# at most one new row, necessarily a single node, and only for i = 0
 	for r, old in enumerate((*lam, 0) if i == 0 else lam, 1):
-		v = old  # the unchanged length always fits
 		k = grow[old % h]
 		if k:
-			for w in range(old + k, old, -1):
-				if w < above or (w == above and w % h == 0):
-					nodes.append((r, old + 1))
-					if w > old + 1:
-						nodes.append((r, w))
-					v = w
-					break
-		above = v
-	if len(nodes) > 1:
-		nodes.sort(key=_BY_COLUMN)
+			w = old + k if old + k < above else above - (above % h > 0)
+			if w > old:
+				if w > old + 1:
+					nodes.append((r, w))
+				nodes.append((r, old + 1))
+				above = w
+				continue
+		above = old
+	nodes.reverse()
 	return nodes
 
 
@@ -300,44 +301,45 @@ def add_h_bar_all(lam, h):
 	return out
 
 
-def flush_surplus(surplus, h):
-	"""The partition of the fully flushed abacus display whose runner j
-	holds surplus[j % h] beads beyond the vacuum.
+def flush_surplus(beads, h):
+	"""The partition of the fully flushed abacus display whose runner k
+	holds beads[k] - beads[h - k] beads beyond the vacuum.
 
 	This is the one statement of the flush rule; bar_core and
 	abacus.core_via_abacus both read the bar-core off it.  Bar removals
 	preserve each runner's surplus, and flushing moves every bead as high
 	as it goes, so a runner with surplus d > 0 contributes the d lowest
-	positive positions on it, and one with d <= 0 contributes none.
+	positive positions on it, and one with d <= 0 contributes none; runners
+	k and h - k, of opposite surpluses, are read as one pair.
 	"""
 	parts = []
-	for k in range(1, h):
-		if surplus[k] > 0:
-			parts.extend(range(k, k + surplus[k] * h, h))
+	for k in range(1, h // 2 + 1):  # h // 2 is n
+		d = beads[k] - beads[h - k]
+		low = k if d > 0 else h - k
+		parts += range(low, low + abs(d) * h, h)
 	parts.sort(reverse=True)
 	return tuple(parts)
 
 
 def bar_core(lam, h):
-	"""The bar-core: lam's runner surpluses, counted from its parts, flushed
-	by flush_surplus.  A part a puts a bead on runner a and takes one off
-	runner -a (see the abacus module).  The same pass checks that each part
-	is a positive integer, at most the one above it and, if equal to it, a
-	multiple of h; only a part that fails goes back to check_partition for
-	the message."""
+	"""The bar-core: lam's parts, counted by runner, flushed by
+	flush_surplus.  A part a puts a bead on runner a and takes one off
+	runner -a (see the abacus module), so counting the parts by a % h is
+	all the flush needs.  The same pass checks that each part is a
+	positive integer, at most the one above it and, if equal to it, a
+	multiple of h; only a part that fails goes back to check_partition
+	for the message."""
 	check_h(h)
 	lam = tuple(lam)
-	surplus = [0] * h
+	beads = [0] * h
 	above = float("inf")
 	for a in lam:
 		if not (isinstance(a, int) and 0 < a and (a < above or (a == above and a % h == 0))):
 			check_partition(lam)  # raises unless lam only fails to be h-strict
 			raise ValueError("%s is not %d-strict" % (partition_str(lam), h))
-		surplus[a % h] += 1
-		surplus[-a % h] -= 1
+		beads[a % h] += 1
 		above = a
-	require(surplus[0] == 0, "runner 0 out of balance on %s", lam)
-	return flush_surplus(surplus, h)
+	return flush_surplus(beads, h)
 
 
 def bar_weight(lam, h):
@@ -468,21 +470,21 @@ def enumerate_cores(h, max_size):
 	or on runner h - k; d beads from the lowest position low on a runner
 	are the parts low, low + h, ..., low + (d - 1) h.
 	"""
-	choices = [([0] * h, 0)] if max_size >= 0 else []  # (surplus by runner, core size)
+	choices = [([0] * h, 0)] if max_size >= 0 else []  # (beads by runner, core size)
 	for k in range(1, n_of(h) + 1):
 		grown = []
-		for surplus, used in choices:
-			grown.append((surplus, used))
+		for beads, used in choices:
+			grown.append((beads, used))
 			for low in (k, h - k):
 				d, cost = 1, low
 				while used + cost <= max_size:
-					loaded = list(surplus)
-					loaded[low], loaded[h - low] = d, -d
+					loaded = list(beads)
+					loaded[low] = d
 					grown.append((loaded, used + cost))
 					cost += low + d * h
 					d += 1
 		choices = grown
-	return sorted((flush_surplus(surplus, h) for surplus, _ in choices),
+	return sorted((flush_surplus(beads, h) for beads, _ in choices),
 		key=lambda tau: (size(tau), tau))
 
 

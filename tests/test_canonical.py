@@ -526,8 +526,10 @@ def test_record_checks_survive_optimised_mode():
 def test_psi_checks_survive_optimised_mode():
 	# patched node sets: an addable node in the column of the removable
 	# (4, 1), then a lone addable node (1, 7) that leaves column 6 of row 1
-	# empty, then two addable nodes in column 6 with no removable ones;
-	# psi must refuse all three under python -O
+	# empty, then two addable nodes in column 6 with no removable ones,
+	# then the real addable nodes in reverse column order, which share no
+	# column, next to the real removable nodes and alone; psi must refuse
+	# all five under python -O
 	script = textwrap.dedent("""
 		import barfock.canonical as cb
 		import barfock.partitions as pt
@@ -537,7 +539,9 @@ def test_psi_checks_survive_optimised_mode():
 		for add, remove in (
 				(lambda lam, i, h: real(lam, i, h) + [(5, 1)], pt.removable_i_nodes),
 				(lambda lam, i, h: [(1, 7)], lambda lam, i, h: []),
-				(lambda lam, i, h: [(1, 6), (2, 6)], lambda lam, i, h: [])):
+				(lambda lam, i, h: [(1, 6), (2, 6)], lambda lam, i, h: []),
+				(lambda lam, i, h: real(lam, i, h)[::-1], pt.removable_i_nodes),
+				(lambda lam, i, h: real(lam, i, h)[::-1], lambda lam, i, h: [])):
 			pt.addable_i_nodes, pt.removable_i_nodes = add, remove
 			try:
 				cb.psi(lam, 0, 3)
@@ -553,6 +557,8 @@ def test_psi_checks_survive_optimised_mode():
 		"addable and removable 0-nodes share a column on (5,4,2,1)",
 		"psi_0: the unmatched nodes of (5,4,2,1) do not move contiguously "
 		"to an h-strict partition",
+		"addable and removable 0-nodes share a column on (5,4,2,1)",
+		"addable and removable 0-nodes share a column on (5,4,2,1)",
 		"addable and removable 0-nodes share a column on (5,4,2,1)",
 	]
 

@@ -320,6 +320,16 @@ def test_diff_negative_core_size_is_usage_error(capsys, size):
 	assert "--max-core-size" in err and "at least 0" in err
 
 
+@pytest.mark.parametrize("hs", ["3,3", "3,5,3", "5,7,7"])
+def test_diff_repeated_h_is_usage_error(capsys, hs):
+	# a repeated h would run each of its blocks twice and count them twice
+	code, out, err = run(capsys, "diff", "--h", hs, "--weight", "1",
+		"--max-core-size", "3")
+	assert code == 1 and out == ""
+	errors = [line for line in err.splitlines() if line.startswith("error:")]
+	assert errors == ["error: argument --h: each h may be listed once, got " + hs]
+
+
 def test_closed_stdout_exits_quietly(capsys):
 	# a reader that has gone away, as after `| head -c 20`
 	argv = ["cb", "--h", "5", "--core", "(1)", "--weight", "2", "--format", "json"]

@@ -308,6 +308,31 @@ def test_bar_removal_examples():
 	assert pt.bar_weight((6, 4), 5) == 2
 
 
+@pytest.mark.parametrize("lam, h, message", [
+	((4.0, 1), 5, "parts must be positive integers: (4.0,1)"),  # not an int
+	(("4", 1), 5, "parts must be positive integers: (4,1)"),
+	((4, 0), 5, "parts must be positive integers: (4,0)"),
+	((3, -1), 5, "parts must be positive integers: (3,-1)"),
+	((1, 4), 5, "parts must weakly decrease: (1,4)"),
+	((4, 4, 1), 5, "(4,4,1) is not 5-strict"),  # a repeat off 0 mod h
+	((3,), 4, "h must be an odd integer >= 3, got 4"),
+	((3,), "5", "h must be an odd integer >= 3, got '5'"),
+	((a for a in (4, 4, 1)), 5, "(4,4,1) is not 5-strict"),  # a generator
+	((a for a in (2, 3)), 5, "parts must weakly decrease: (2,3)"),
+])
+def test_bar_core_error_texts(lam, h, message):
+	# the bar-core's single pass checks its input; each refusal reads as
+	# check_h and check_partition word it
+	with pytest.raises(ValueError) as caught:
+		pt.bar_core(lam, h)
+	assert str(caught.value) == message
+
+
+def test_bar_core_accepts_repeats_at_multiples_of_h():
+	assert pt.bar_core((5, 5), 5) == ()
+	assert pt.bar_core((a for a in (10, 5, 5, 2)), 5) == (2,)
+
+
 @pytest.mark.parametrize("h", [3, 5, 7])
 def test_bar_addition_inverts_bar_removal(h):
 	# mu is one h-bar addition to lam exactly when lam is one h-bar
@@ -575,8 +600,9 @@ def reference_move(lam, nodes, h, sign):
 def test_move_nodes_matches_its_definition(h):
 	# every subset of every node set up to size 20: move_nodes checks only
 	# the rows that moved, and must agree with a whole-result check; and
-	# no node set repeats a column, which fock's per-node exponent weights
-	# rest on
+	# each node set comes strictly column-ascending, so it repeats no
+	# column, which fock's per-node exponent weights and canonical's
+	# signature merge rest on
 	sets = subsets = 0
 	for m in range(21):
 		for lam in pt.enumerate_h_strict(m, h):
@@ -584,7 +610,7 @@ def test_move_nodes_matches_its_definition(h):
 				for walk, sign in ((pt.addable_i_nodes, 1), (pt.removable_i_nodes, -1)):
 					nodes = walk(lam, i, h)
 					columns = [c for _, c in nodes]
-					assert len(set(columns)) == len(columns), (lam, i, sign)
+					assert all(map(int.__lt__, columns, columns[1:])), (lam, i, sign)
 					sets += 1
 					for k in range(len(nodes) + 1):
 						for chosen in itertools.combinations(nodes, k):
