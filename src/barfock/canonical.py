@@ -46,6 +46,7 @@ Nothing else in `src/` keeps state between calls.
 import heapq
 from array import array
 from bisect import bisect_left
+from collections.abc import Mapping
 from functools import cache
 
 from . import fock
@@ -58,6 +59,7 @@ from .laurent import COEFF_BOUND, ONE, ZERO, add_product, symmetric_correction
 # ---------------------------------------------------------------------------
 
 _SHARED = "addable and removable %d-nodes share a column on %s"
+_PAST_END = (0, float("inf"))  # a - right of every column, which _signature merges last
 
 
 def _signature(lam, i, h):
@@ -80,7 +82,7 @@ def _signature(lam, i, h):
 	last = 0  # columns start at 1
 	pluses = iter(add)
 	plus = next(pluses, None)
-	for minus in rem:
+	for minus in rem + [_PAST_END]:  # the sentinel lets every + left through
 		c = minus[1]
 		while plus and plus[1] < c:
 			if plus[1] <= last:
@@ -88,6 +90,8 @@ def _signature(lam, i, h):
 			last = plus[1]
 			conormal.append(plus)
 			plus = next(pluses, None)
+		if minus is _PAST_END:
+			break
 		if c <= last:
 			pt.require(False, _SHARED, i, lam)
 		last = c
@@ -95,12 +99,6 @@ def _signature(lam, i, h):
 			conormal.pop()
 		else:
 			normal.append(minus)
-	while plus:
-		if plus[1] <= last:
-			pt.require(False, _SHARED, i, lam)
-		last = plus[1]
-		conormal.append(plus)
-		plus = next(pluses, None)
 	return normal, conormal
 
 
@@ -162,10 +160,10 @@ def peel_word(mu, h):
 	return word
 
 
-class Column:
+class Column(Mapping):
 	"""A finished sparse column: its partitions lex ascending and their
-	coefficients, as two tuples.  A read-only mapping lam -> coefficient;
-	it equals the dict with the same items, and entries are found by
+	coefficients, as two tuples.  A read-only Mapping lam -> coefficient;
+	it equals the dict with the same items, and get finds every entry by
 	bisection."""
 
 	__slots__ = ("lams", "coeffs")
@@ -186,9 +184,6 @@ class Column:
 	def __iter__(self):
 		return iter(self.lams)
 
-	def keys(self):
-		return self.lams
-
 	def values(self):
 		return self.coeffs
 
@@ -201,8 +196,11 @@ class Column:
 			return self.coeffs[j]
 		return default
 
-	def __contains__(self, lam):
-		return self.get(lam) is not None
+	def __getitem__(self, lam):
+		c = self.get(lam)
+		if c is None:
+			raise KeyError(lam)
+		return c
 
 	def __eq__(self, other):
 		if isinstance(other, Column):
@@ -223,8 +221,8 @@ class CanonicalBasisMatrix:
 	lex ascending; columns maps each mu, in that order, to the zero-free
 	Column of G(mu).  A dict column is frozen on the way in; the oracle's
 	columns are the store's own, so every matrix is compared and read
-	through one column type.  Every dense reader goes through one row
-	walk, dense_rows, which never holds the dense grid.
+	through one column type, which column(mu) wraps.  Every dense reader
+	goes through one row walk, dense_rows, which never holds the grid.
 	"""
 
 	__slots__ = ("block", "rows", "cols", "columns", "_members")
@@ -260,7 +258,7 @@ class CanonicalBasisMatrix:
 			yield col.get(lam, ZERO)
 
 	def column(self, mu):
-		return fock.FockVector(self.block.h, self._column(mu))
+		return fock.FockVector.wrap(self.block.h, self._column(mu))
 
 	def __eq__(self, other):
 		return isinstance(other, CanonicalBasisMatrix) and \

@@ -32,8 +32,9 @@ so the cached images, and the canonical-basis columns built from them, keep
 each partition and each coefficient once.  A record also holds the
 partition's h-content and prefix sums, which the canonical-basis oracle's
 per-term checks read: they are computed once per partition per process.
-The library's own vectors come from FockVector.wrap, which takes a clean
-dict as it is; the checking constructor is for callers outside.
+The library's vectors come only from FockVector.wrap, over a Mapping (a
+dict or a canonical.Column); FockVector(h, terms) and basis check input
+from outside.
 """
 
 from functools import cache, lru_cache
@@ -43,12 +44,12 @@ from . import partitions as pt
 from .laurent import Laurent, ONE, ZERO, add_product, q_power
 
 # images kept by _image, the one bounded table: twice the 6,217 distinct
-# images of the h=7 w=6 block.  Unbounded, one h=7 w=9 block misses 107,424
-# times, not 324,476, in 20.6-21.3 s, not 23.5-26.5 s, at 211 MiB, not 215;
-# but `diff --weight 2 --max-core-size 30 --h 3,5,...,15` (2,499 blocks)
-# has the same 138,492 hits and 123,302 misses either way, in 23.1-27.0 s
-# against 26.3-28.0 s, and peaks at 128.5 MiB, not 103.5: so it stays.
-# (Times and MiB measured at commit 341a1ed.)
+# images of the h=7 w=6 block.  Unbounded, one h=7 w=9 block misses a third
+# as often, but the sweeps never ask for an evicted image again: at commit
+# a3c59c0 the weight-2 blocks at h=13 and 15, cores up to 30, made the same
+# 112,200 hits and 96,687 misses either way, in the same time within noise,
+# at 87 MiB unbounded against 73.  So the bound stays; ROADMAP's dead end
+# "An unbounded image cache" has the measurements.
 IMAGE_CACHE_SIZE = 1 << 14
 
 _new = object.__new__
@@ -77,9 +78,9 @@ class FockVector:
 
 	@classmethod
 	def wrap(cls, h, terms):
-		"""A vector over terms, taken as it is: the library's own zero-free
-		{partition tuple: Laurent} mappings (dicts, and the oracle's
-		finished columns) skip the constructor's checks."""
+		"""The one door for the library's own vectors: terms, a zero-free
+		Mapping of h-strict tuples to Laurent values (a dict or a finished
+		canonical.Column), taken as it is, unchecked and uncopied."""
 		vec = _new(cls)
 		vec.h = h
 		vec.terms = terms
@@ -101,11 +102,11 @@ class FockVector:
 		tt = dict(self.terms)
 		for lam, c in other.terms.items():
 			tt[lam] = tt.get(lam, ZERO) + c
-		return FockVector(self.h, tt)
+		return FockVector.wrap(self.h, {lam: c for lam, c in tt.items() if c})
 
 	def scale(self, c):
 		c = c if isinstance(c, Laurent) else Laurent(c)
-		return FockVector(self.h, {lam: v * c for lam, v in self.terms.items()})
+		return FockVector.wrap(self.h, {lam: d for lam, v in self.terms.items() if (d := v * c)})
 
 	def __eq__(self, other):
 		return isinstance(other, FockVector) and \

@@ -497,8 +497,8 @@ class BlockId:
 
 	def __post_init__(self):
 		check_h(self.h)
-		object.__setattr__(self, "core", check_partition(self.core))
-		if bar_weight(self.core, self.h) != 0:
+		object.__setattr__(self, "core", tuple(self.core))
+		if bar_weight(self.core, self.h) != 0:  # bar_core checks the parts
 			raise ValueError("%s is not a %d-bar-core" % (partition_str(self.core), self.h))
 		if self.weight < 0:
 			raise ValueError("negative weight")

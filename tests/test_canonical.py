@@ -8,10 +8,13 @@ import sys
 import textwrap
 import tracemalloc
 
+from collections.abc import Mapping
+
 import pytest
 
 import barfock.partitions as pt
 import barfock.canonical as cb
+import barfock.fock as fock
 from barfock.formulas import formula_matrix
 from barfock.laurent import ONE, ZERO, parse
 
@@ -386,6 +389,45 @@ class TestColumnStore:
 		formula = formula_matrix(block)
 		assert all(isinstance(col, cb.Column) for col in formula.columns.values())
 		assert formula == m
+
+	def test_a_wrapped_column_reads_as_its_dict_twin(self):
+		# a vector over a store column answers as the vector over the same
+		# items in a dict: printed, listed, acted on and compared
+		block = pt.BlockId(5, (1,), 2)
+		m = cb.canonical_basis(block)
+		for mu in m.cols:
+			col = m.columns[mu]
+			assert isinstance(col, Mapping)
+			d = dict(col)
+			assert d == dict(col.items()) and all(col[lam] is d[lam] for lam in col)
+			with pytest.raises(KeyError):
+				col[(99,)]
+			v, twin = fock.FockVector.wrap(5, col), fock.FockVector.wrap(5, d)
+			assert str(v) == str(twin) and v.items() == twin.items()
+			assert v == twin and twin == v
+			for i in range(pt.n_of(5) + 1):
+				for k in (0, 1):
+					assert fock.apply_f(v, i, k) == fock.apply_f(twin, i, k), (mu, i, k)
+
+	def test_library_vectors_skip_the_checks(self, monkeypatch):
+		# column, + and scale wrap what the library made; only the
+		# constructor called from outside checks each term
+		m = cb.canonical_basis(pt.BlockId(5, (1,), 2))
+		calls = []
+		for name in ("check_partition", "is_h_strict"):
+			real = getattr(pt, name)
+			monkeypatch.setattr(pt, name,
+				lambda *args, real=real, name=name: calls.append(name) or real(*args))
+		a, b = m.column(m.cols[0]), m.column(m.cols[-1])
+		assert a.terms is m.columns[m.cols[0]]
+		total = a + b
+		cancelled = total + a.scale(-1)
+		assert cancelled == b and (a + a.scale(-1)).terms == {}
+		assert a.scale(0).terms == {} and not a.scale(0)
+		assert all(c for c in total.terms.values())
+		assert calls == []
+		fock.FockVector(5, {(6,): 1})  # the counters see the checking constructor
+		assert calls == ["check_partition", "is_h_strict"]
 
 	def test_store_checks_the_coefficient_bound(self, clean_store, monkeypatch):
 		# with the bound lowered to 1, the first coefficient 2 the store

@@ -19,8 +19,11 @@ import json
 import os
 
 import barfock.abacus as ab
+import barfock.canonical as cb
 import barfock.cli as cli
+import barfock.formulas as fm
 import barfock.partitions as pt
+import barfock.spin as spin
 
 SPIN_H, SPIN_CORES = (3, 5, 7), 6
 TAG_H, TAG_CORES = (5, 7), 6
@@ -55,6 +58,29 @@ def spin_digests():
 				key = "%s %s %s" % (_block_key(block), source, form)
 				out[key] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
 	return out
+
+
+def test_predict_spin_json_is_the_data_view():
+	# the json writer streams its cells; it must print exactly the bytes of
+	# json.dumps over spin's SpinPrediction records, for both sources
+	builds = {"oracle": cb.canonical_basis, "formula": fm.formula_matrix}
+	count = 0
+	for block in _blocks(SPIN_H, (1, 2), SPIN_CORES):
+		for source in SOURCES:
+			buf = io.StringIO()
+			with contextlib.redirect_stdout(buf):
+				code = cli.main(["predict-spin", "--h", str(block.h),
+					"--core", pt.partition_str(block.core),
+					"--weight", str(block.weight),
+					"--source", source, "--format", "json"])
+			want = json.dumps({"h": block.h, "core": pt.partition_str(block.core),
+				"weight": block.weight, "source": source,
+				"predictions": [p.to_json_obj()
+					for p in spin.predict_matrix(builds[source](block))]}, indent=2)
+			assert code == 0
+			assert buf.getvalue() == want + "\n", (block, source)
+			count += 1
+	assert count == 104  # 52 blocks, two sources
 
 
 def tag_lines():

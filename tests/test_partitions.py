@@ -469,6 +469,24 @@ class TestBlockId:
 		assert (b.h, b.core, b.weight) == (5, (1,), 2)
 		assert "(1)" in str(b)
 
+	@pytest.mark.parametrize("core, text", [
+		((2.0, 1), "parts must be positive integers: (2.0,1)"),
+		((3, 0), "parts must be positive integers: (3,0)"),
+		((1, 2), "parts must weakly decrease: (1,2)"),
+		((2, 2), "(2,2) is not 5-strict"),
+	])
+	def test_a_malformed_core_is_named(self, core, text):
+		# bar_core checks the core's parts, with check_partition's messages,
+		# whether the core comes as a tuple or as a generator
+		for given in (core, (a for a in core)):
+			with pytest.raises(ValueError) as err:
+				pt.BlockId(5, given, 1)
+			assert str(err.value) == text
+
+	def test_a_core_is_kept_as_a_tuple(self):
+		assert pt.BlockId(5, (a for a in (3, 1)), 0).core == (3, 1)
+		assert pt.BlockId(5, [1], 2) == pt.BlockId(5, (1,), 2)
+
 	def test_weight_zero_block(self):
 		assert pt.enumerate_block(pt.BlockId(5, (3, 1), 0)) == [(3, 1)]
 		assert pt.enumerate_block(pt.BlockId(5, (), 0)) == [()]

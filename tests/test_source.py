@@ -2,10 +2,12 @@
 
 import ast
 import glob
+import inspect
 import os
 
 import barfock
 import barfock.canonical
+import barfock.fock
 
 
 def test_no_assert_statements():
@@ -117,6 +119,43 @@ def test_only_cli_prints():
 	found = ["%s: %s" % pair for pair in _scan_package(printer_uses)
 		if pair[0] != "cli"]
 	assert found == []
+
+
+def _called_name(func):
+	"""The name a call's callee is read by: the attribute, or the name."""
+	return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def fock_vector_calls(source):
+	"""The lines where a module calls FockVector(...), named as a name or
+	as an attribute."""
+	return {node.lineno for node in ast.walk(ast.parse(source))
+		if isinstance(node, ast.Call) and _called_name(node.func) == "FockVector"}
+
+
+def test_fock_vector_scan_sees_every_kind_of_call():
+	planted = (
+		"from .fock import FockVector\n"
+		"from . import fock as F\n"
+		"def f(h, lam):\n"
+		"\treturn FockVector(h, {lam: 1})\n"
+		"def g(h, terms):\n"
+		"\treturn F.FockVector(h, terms), F.FockVector.wrap(h, terms)\n"
+		"def k(h):\n"
+		"\treturn FockVector.basis(h, ()), 'FockVector(h)', FockVector\n")
+	assert fock_vector_calls(planted) == {4, 6}
+
+
+def test_library_vectors_come_from_wrap():
+	# the checking constructor is for input from outside: within src/ only
+	# FockVector.basis calls it, as cls; the library's own vectors, whose
+	# terms it made zero-free and keyed by h-strict tuples, are wrapped
+	assert ["%s:%d" % pair for pair in _scan_package(fock_vector_calls)] == []
+	tree = ast.parse(inspect.getsource(barfock.fock.FockVector))
+	callers = [fn.name for fn in tree.body[0].body if isinstance(fn, ast.FunctionDef)
+		and any(isinstance(node, ast.Call) and _called_name(node.func) == "cls"
+			for node in ast.walk(fn))]
+	assert callers == ["basis"]
 
 
 MUTATORS = {"setdefault", "update", "append", "extend", "insert", "add",
