@@ -12,6 +12,11 @@ display is the fully flushed one; per-runner bead surpluses are invariant
 and determine the core outright.  The flush rule is stated once, in
 partitions.flush_surplus: core_via_abacus applies it to a display's
 surpluses, and partitions.bar_core to beads counted straight from the parts.
+
+A weight-2 partition's bar positions are the values its two bar removals
+record.  Block enumeration records them as it grows the block, and checks
+there that they do not depend on the order; bar_positions reads them, and
+abacus_notation turns them into the partition's tag.
 """
 
 from . import partitions as pt
@@ -110,22 +115,17 @@ def core_via_abacus(a):
 
 
 def bar_positions(lam, block):
-	"""The two integers recorded when unmaking a bar-weight-2 partition.
+	"""The two integers recorded when unmaking a bar-weight-2 partition,
+	as (a, b) with a <= b.
 
-	Every removal order must record the same unordered pair; that is
-	checked here rather than assumed.  Returned as (a, b) with a <= b.
+	partitions._block_members records them as it grows the block, and
+	checks there that every removal order records the same pair; this
+	reads them off.
 	"""
-	h = block.h
-	if block.weight != 2 or pt.bar_core(lam, h) != block.core:
+	bars = block.weight == 2 and pt._block_members(block.h, block.core, 2).get(tuple(lam))
+	if not bars:
 		raise ValueError("bar positions only defined on this block's weight-2 members")
-	pairs = set()
-	for mu, rec1 in pt.remove_h_bar_all(lam, h):
-		for nu, rec2 in pt.remove_h_bar_all(mu, h):
-			if nu == block.core:
-				pairs.add((min(rec1, rec2), max(rec1, rec2)))
-	pt.require(len(pairs) == 1,
-		"bar positions depend on removal order for %s: %r", lam, pairs)
-	return next(iter(pairs))
+	return bars
 
 
 def pair_tag(i, j):
@@ -139,7 +139,7 @@ def single_tag(s):
 def abacus_notation(lam, block):
 	"""Classify a weight-2 partition by where its two bar positions sit,
 	as the text of its tag: <i,j> or a signed <i>."""
-	h = block.h
+	h, lam = block.h, tuple(lam)
 	a, b = bar_positions(lam, block)
 	if a == b:
 		pt.require(a == h, "equal bar positions can only both be h")

@@ -35,9 +35,11 @@ is `_CACHE`, a plain dict that bench/tracer.py's cache probe reads:
   are interned by their packed (lo, p) pair, and each is checked against
   `laurent.COEFF_BOUND` when it is first interned (see `laurent`);
 - `_CACHE`: matrices by block; unbounded, views of `_store`;
-- `partitions._block_members`: a block's members, lex ascending, by
-  (h, core, weight); unbounded, one entry per block enumerated and per
-  block of the same core at each lower weight, which it grows from;
+- `partitions._block_members`: a block's members, lex ascending, each
+  with the sorted values its bar removals record, by (h, core, weight);
+  unbounded, one entry per block enumerated and per block of the same
+  core at each lower weight, which it grows from; `abacus.bar_positions`
+  reads a weight-2 member's pair there;
 - `partitions._edge_table`: per (i, h), two tuples of h small counts; one
   entry per residue and h the process walks.
 Nothing else in `src/` keeps state between calls.

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from operator import ge
+from types import MappingProxyType
 
 
 class InvariantError(AssertionError):
@@ -255,6 +256,10 @@ def remove_h_bar_all(lam, h):
 	the larger).  Results must again be h-strict: deleting parts keeps lam
 	h-strict, so only a - h can repeat, where it is already a part and not
 	a multiple of h.
+
+	The package grows blocks by add_h_bar_all and never calls this; it is
+	the paper's h-bar removal, the reference that the tests check bar_core,
+	add_h_bar_all and the values _block_members records against.
 	"""
 	lam = tuple(lam)
 	out = []
@@ -279,7 +284,9 @@ def remove_h_bar_all(lam, h):
 def add_h_bar_all(lam, h):
 	"""All single h-bar additions, the inverse of remove_h_bar_all: the
 	h-strict partitions from which one h-bar removal gives lam, each
-	once, in no set order (enumerate_block sorts what it collects).
+	once, in no set order, as (partition, value) pairs.  The value is what
+	that removal records: a + h when part a grows, and h - a when the
+	pair h - a, a is added.
 
 	Two moves: replace a part a by a + h (a = 0 adds a part h), or add two
 	parts summing to h.  Removing a part keeps lam h-strict, so a result
@@ -294,10 +301,10 @@ def add_h_bar_all(lam, h):
 				rest.remove(a)
 			rest.append(a + h)
 			rest.sort(reverse=True)
-			out.append(tuple(rest))
+			out.append((tuple(rest), a + h))
 	for a in range(1, n_of(h) + 1):
 		if a not in lam and h - a not in lam:
-			out.append(tuple(sorted(lam + (h - a, a), reverse=True)))
+			out.append((tuple(sorted(lam + (h - a, a), reverse=True)), h - a))
 	return out
 
 
@@ -515,14 +522,31 @@ def enumerate_block(block):
 
 @cache
 def _block_members(h, core, weight):
-	"""The members of the block (h, core, weight), lex ascending: the core
-	at weight 0, and every single h-bar addition to a member one weight
-	lower above it.  Adding bars never changes the bar-core, and every
-	member reaches the core by removing bars, so nothing is filtered."""
+	"""The members of the block (h, core, weight), lex ascending, each
+	with the sorted values its bar removals record down to the core, in a
+	read-only mapping, since every caller shares it: the core at weight 0,
+	and every single h-bar addition to a member one weight lower above it.
+	Adding bars never changes the bar-core, and every member reaches the
+	core by removing bars, so nothing is filtered.
+
+	Where two growth paths meet at a member, they must have recorded the
+	same values; that is checked, at every weight.  It holds because, on
+	the symmetric abacus, a removal moves a bead and its mirror image one
+	step down their runners and records the higher of their two starting
+	positions, and the number of moves that start at each position on a
+	runner is a suffix sum of lam's bead surplus over the core's, the same
+	in every order.
+	"""
 	if weight == 0:
-		return (core,)
-	return tuple(sorted({mu for lam in _block_members(h, core, weight - 1)
-		for mu in add_h_bar_all(lam, h)}))
+		return MappingProxyType({core: ()})
+	grown = {}
+	for lam, values in _block_members(h, core, weight - 1).items():
+		for mu, value in add_h_bar_all(lam, h):
+			bars = tuple(sorted((*values, value)))
+			seen = grown.setdefault(mu, bars)
+			require(seen == bars, "h=%d core=%s w=%d: the bar values of %s "
+				"depend on the growth path: %s and %s", h, core, weight, mu, seen, bars)
+	return MappingProxyType(dict(sorted(grown.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,39 @@ class TestBarPositions:
 					lo, hi = ab.bar_positions(lam, b)
 					assert 0 < lo <= hi
 
+	def test_matches_the_two_step_removal_search(self):
+		# the pair every order of two bar removals records, found by search
+		for h in (3, 5, 7):
+			for core in pt.enumerate_cores(h, 6):
+				b = pt.BlockId(h, core, 2)
+				for lam in pt.enumerate_block(b):
+					assert ab.bar_positions(lam, b) == removal_search(lam, b), (b, lam)
+
+	def test_any_iterable_gives_the_same_pair_and_tag(self):
+		# the parts are read once: a generator is not consumed by a first look
+		b = pt.BlockId(5, (1,), 2)
+		for lam in pt.enumerate_block(b):
+			got = {(ab.bar_positions(make(lam), b), ab.abacus_notation(make(lam), b))
+				for make in (tuple, list, lambda lam: (a for a in lam))}
+			assert len(got) == 1, (lam, got)
+
+	def test_only_this_blocks_weight2_members(self):
+		for lam, b in (((6, 4, 1), pt.BlockId(5, (1,), 1)), ((6, 4), pt.BlockId(5, (1,), 2)),
+				((11,), pt.BlockId(5, (), 2))):
+			with pytest.raises(ValueError) as err:
+				ab.bar_positions(lam, b)
+			assert str(err.value) == "bar positions only defined on this block's weight-2 members"
+
+
+def removal_search(lam, block):
+	"""The pair recorded by removing two bars from lam down to the core,
+	checked to be the same for every removal order."""
+	pairs = {tuple(sorted((rec1, rec2)))
+		for mu, rec1 in pt.remove_h_bar_all(lam, block.h)
+		for nu, rec2 in pt.remove_h_bar_all(mu, block.h) if nu == block.core}
+	assert len(pairs) == 1, (lam, pairs)
+	return pairs.pop()
+
 
 class TestNotation:
 	def test_signed_single_tags(self):

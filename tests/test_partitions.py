@@ -7,6 +7,10 @@ kept here as a reference, up to the acceptance gate's member bounds.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,15 +339,16 @@ def test_bar_core_accepts_repeats_at_multiples_of_h():
 
 @pytest.mark.parametrize("h", [3, 5, 7])
 def test_bar_addition_inverts_bar_removal(h):
-	# mu is one h-bar addition to lam exactly when lam is one h-bar
-	# removal from mu, and each addition comes once
+	# mu is one h-bar addition to lam, recording value, exactly when lam is
+	# one h-bar removal from mu recording that value (the two lists are
+	# equal, so each direction holds); each addition comes once
 	for m in range(0, 15):
 		for lam in pt.enumerate_h_strict(m, h):
 			up = pt.add_h_bar_all(lam, h)
-			assert len(set(up)) == len(up)
-			assert sorted(up) == [mu for mu in pt.enumerate_h_strict(m + h, h)
-				if lam in {nu for nu, _ in pt.remove_h_bar_all(mu, h)}], lam
-	assert sorted(pt.add_h_bar_all((4,), 5)) == [(4, 3, 2), (5, 4), (9,)]
+			assert len({mu for mu, _ in up}) == len(up)
+			assert sorted(up) == [(mu, value) for mu in pt.enumerate_h_strict(m + h, h)
+				for nu, value in pt.remove_h_bar_all(mu, h) if nu == lam], lam
+	assert sorted(pt.add_h_bar_all((4,), 5)) == [((4, 3, 2), 3), ((5, 4), 5), ((9,), 9)]
 
 
 @pytest.mark.parametrize("h", [3, 5])
@@ -492,6 +497,18 @@ class TestBlockId:
 		assert pt.enumerate_block(pt.BlockId(5, (), 0)) == [()]
 
 
+SHIFTED_EDGE = ("h=5 core=() w=2: the bar values of (5,4,1) depend on the "
+	"growth path: (4,6) and (4,5)")
+
+
+def removal_records(lam, core, h):
+	"""The sorted values of every chain of bar removals from lam to core."""
+	if lam == core:
+		return {()}
+	return {tuple(sorted((value, *rest))) for mu, value in pt.remove_h_bar_all(lam, h)
+		for rest in removal_records(mu, core, h)}
+
+
 class TestMemberTable:
 	"""enumerate_block grows a block from its bar-core by adding h-bars,
 	and enumerate_cores builds the cores from runner surpluses; both must
@@ -531,6 +548,51 @@ class TestMemberTable:
 		members = pt.enumerate_block(block)
 		assert len(members) == 44
 		assert set(calls) <= set(members)
+
+	def test_growth_records_the_removal_values(self):
+		# each member's values are what some chain of bar removals down to
+		# the core records, and every such chain records the same ones
+		for h, wmax in ((3, 5), (5, 3), (7, 2)):
+			for core in pt.enumerate_cores(h, 8):
+				for w in range(wmax + 1):
+					for lam, values in pt._block_members(h, core, w).items():
+						assert removal_records(lam, core, h) == {values}, (h, core, lam)
+
+	def test_a_path_that_records_another_value_is_refused(self, monkeypatch):
+		# (5,4,1) grows from (4,1), adding 5, and from (5), adding the pair
+		# 4, 1; a value shifted on the first edge splits the two paths
+		real = pt.add_h_bar_all
+
+		def shifted(lam, h):
+			return [(mu, value + ((lam, mu) == ((4, 1), (5, 4, 1)))) for mu, value in real(lam, h)]
+
+		pt._block_members.cache_clear()
+		monkeypatch.setattr(pt, "add_h_bar_all", shifted)
+		try:
+			with pytest.raises(pt.InvariantError) as err:
+				pt.enumerate_block(pt.BlockId(5, (), 2))
+		finally:
+			pt._block_members.cache_clear()
+		assert str(err.value) == SHIFTED_EDGE
+
+	def test_growth_check_survives_optimised_mode(self):
+		script = textwrap.dedent("""
+			import barfock.partitions as pt
+			assert False, "reached only without -O"
+			real = pt.add_h_bar_all
+			pt.add_h_bar_all = lambda lam, h: [
+				(mu, value + ((lam, mu) == ((4, 1), (5, 4, 1)))) for mu, value in real(lam, h)]
+			try:
+				pt.enumerate_block(pt.BlockId(5, (), 2))
+			except pt.InvariantError as e:
+				print(e)
+		""")
+		src = os.path.dirname(os.path.dirname(os.path.abspath(pt.__file__)))
+		proc = subprocess.run([sys.executable, "-O", "-c", script],
+			capture_output=True, text=True, timeout=120,
+			env=dict(os.environ, PYTHONPATH=src))
+		assert proc.returncode == 0, proc.stderr
+		assert proc.stdout == SHIFTED_EDGE + "\n"
 
 	def test_returned_lists_are_fresh(self):
 		block = pt.BlockId(5, (1,), 2)

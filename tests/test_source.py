@@ -281,6 +281,8 @@ TEST_ONLY = {
 		"e/f structure constants in the canonical basis",
 	"FockVector.scale": "the divided-power identity f_i^k = [k]_i! f_i^(k)",
 	"exceptional_triples": "the paper's exceptional triples of a linked pair",
+	"remove_h_bar_all": "the paper's h-bar removal; bar_core, add_h_bar_all "
+		"and the bar values _block_members records are checked against it",
 }
 
 
