@@ -89,6 +89,7 @@ class AbacusDisplay:
 
 
 def from_partition(lam, h):
+	pt.check_h(h)  # before the h-strict test, which divides by h
 	lam = pt.check_partition(lam)
 	if not pt.is_h_strict(lam, h):
 		raise ValueError("%s is not %d-strict" % (pt.partition_str(lam), h))

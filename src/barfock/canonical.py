@@ -38,8 +38,10 @@ is `_CACHE`, a plain dict that bench/tracer.py's cache probe reads:
 - `partitions._block_members`: a block's members, lex ascending, each
   with the sorted values its bar removals record, by (h, core, weight);
   unbounded, one entry per block enumerated and per block of the same
-  core at each lower weight, which it grows from; `abacus.bar_positions`
-  reads a weight-2 member's pair there;
+  core at each lower weight, which it grows from; `formulas` reads a
+  weight-1 chain and its bracket indices there, and checks the special
+  partitions against a weight-2 block's members, and
+  `abacus.bar_positions` reads a weight-2 member's pair there;
 - `partitions._edge_table`: per (i, h), two tuples of h small counts; one
   entry per residue and h the process walks.
 Nothing else in `src/` keeps state between calls.

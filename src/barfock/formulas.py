@@ -2,13 +2,19 @@
 
 Weight 0 is trivial, weight 1 is a single dominance chain, and weight 2
 works off three statistics of a partition: its pair of bar positions, the
-leg lengths of those bars, and a three-valued colour.  Four column shapes
-exist at weight 2 -- a generic one and three sporadic ones attached to
-the named special partitions of the block.  The sporadic shapes are one
-table of clauses (`at x`, `chain(lo,hi)`), read by one loop that also
-names each entry's clause as its provenance label.  A weight-2 block is
-enumerated, and its special partitions and each member's profile and
-prefix sums found, once per matrix; nothing here is kept between calls.
+leg lengths of those bars, and a three-valued colour.  The h-bar addition
+rule is stated once, in partitions: both weights read block membership and
+the bar values each member records off partitions._block_members, the
+block's growth record.  At weight 1 the recorded value is the bracket
+index that sorts the chain; at weight 2 it is the pair of bar positions,
+and each special partition is checked to be a member of the block.  Four
+column shapes exist at weight 2 -- a generic one and three sporadic ones
+attached to the named special partitions of the block.  The sporadic
+shapes are one table of clauses (`at x`, `chain(lo,hi)`), read by one
+loop that also names each entry's clause as its provenance label.  A
+weight-2 block is enumerated, and its special partitions and each
+member's profile and prefix sums found, once per matrix; nothing here is
+kept between calls.
 formula_matrix(block, with_labels=False) is the one entry, dispatching
 on the weight.
 """
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from . import abacus
 from . import partitions as pt
 from .canonical import CanonicalBasisMatrix
-from .laurent import ONE, exact_div, q_power
+from .laurent import ONE, q_power
 from .laurent import parse as L
 
 
@@ -27,45 +33,32 @@ from .laurent import parse as L
 # weight 1
 # ---------------------------------------------------------------------------
 
-def weight1_chain(tau, h):
-	"""The weight-1 block over tau as a dominance-increasing chain.
+def _weight1(block):
+	"""The weight-1 matrix and its provenance labels: identity plus a
+	subdiagonal of q's and q^2's, depending on whether the row partition
+	contains h.
 
-	Three kinds of members, each tagged by a bracket index that sorts them:
-	push a part up by h (index a+h), insert a part h (index h), or insert a
-	complementary pair b, h-b (index b).  There are always n+1 members and
-	only the top one fails to be restricted.
+	The chain is the block as partitions._block_members grows it, lex
+	ascending, each member with the one value its bar removal records:
+	its bracket index, a + h for a part a pushed up by h (h for a part h
+	inserted), b for a pair b, h - b inserted.  The paper's facts are
+	checked: n + 1 members, indices rising strictly along the chain, a
+	dominance chain, and only the top unrestricted.
 	"""
+	h = block.h
 	n = pt.n_of(h)
-	entries = [(h, pt.union(tau, (h,)))]
-	for a in tau:
-		if a + h not in tau:
-			entries.append((a + h, pt.union(pt.subtract(tau, (a,)), (a + h,))))
-	for b in range(n + 1, h):
-		if b not in tau and h - b not in tau:
-			entries.append((b, pt.union(tau, (b, h - b))))
-	pt.require(len(entries) == n + 1, "weight-1 block of wrong size over %s", tau)
-	pt.require(len(set(idx for idx, _ in entries)) == n + 1,
-		"weight-1 chain over %s repeats a bar position", tau)
-	entries.sort()
-	chain = [lam for _, lam in entries]
+	members = pt._block_members(h, block.core, 1)
+	chain, values = list(members), list(members.values())
+	pt.require(len(chain) == n + 1, "weight-1 block of wrong size over %s", block.core)
+	pt.require(all(a < b for a, b in zip(values, values[1:])),
+		"bar values do not rise strictly along the weight-1 chain over %s", block.core)
 	pt.require(pt.dominance_chain(chain) == chain,
-		"weight-1 chain not dominance-sorted over %s", tau)
+		"weight-1 chain not dominance-sorted over %s", block.core)
 	for lam in chain[:n]:
 		pt.require(pt.is_restricted(lam, h),
 			"weight-1 chain member %s is not restricted", lam)
 	pt.require(not pt.is_restricted(chain[n], h),
 		"top of the weight-1 chain should not be restricted")
-	return chain
-
-
-def _weight1(block):
-	"""The weight-1 matrix and its provenance labels: identity plus a
-	subdiagonal of q's and q^2's, depending on whether the row partition
-	contains h."""
-	h = block.h
-	chain = weight1_chain(block.core, h)
-	pt.require(chain == pt.enumerate_block(block),
-		"weight-1 chain misses block members over %s", block.core)
 	columns, labels = {}, {}
 	for mu, lam in zip(chain, chain[1:]):
 		step, label = (q_power(1), "step-h") if h in lam else (q_power(2), "step")
@@ -128,9 +121,13 @@ def special_partitions(tau, h):
 	in the order xx, shp, nat, flt, ppi, yy; absent ones are left out.
 
 	nat always exists as a partition but is only a canonical-basis label
-	when the core is nonempty (otherwise it is not restricted).
+	when the core is nonempty (otherwise it is not restricted).  tau must
+	be an h-bar-core (BlockId raises ValueError otherwise), and each named
+	partition must be a member of the block, as partitions._block_members
+	lists them.
 	"""
-	tau = tuple(tau)
+	tau = pt.BlockId(h, tau, 2).core
+	members = pt._block_members(h, tau, 2)
 	n = pt.n_of(h)
 	gam = pt.gamma(tau, h)
 	free = [a for a in range(1, n + 1) if a not in tau and h - a not in tau]
@@ -159,9 +156,7 @@ def special_partitions(tau, h):
 		named["yy"] = pt.subtract(pt.union(tau, (b, a)), (b - h, a - h))
 
 	for name, lam in named.items():
-		pt.require(pt.is_h_strict(lam, h), "%s = %s is not h-strict", name, lam)
-		pt.require(pt.bar_core(lam, h) == tau, "%s = %s has the wrong bar core", name, lam)
-		pt.require(pt.size(lam) == pt.size(tau) + 2 * h, "%s = %s has the wrong size", name, lam)
+		pt.require(lam in members, "%s = %s is not in the weight-2 block over %s", name, lam, tau)
 	return named
 
 
@@ -233,7 +228,7 @@ _SPORADIC = {
 # A generic column's two values, and the same divided by q, which a row
 # holding h or 2h takes when mu holds neither.
 _GENERIC = {"partner": L("q^4"), "between": L("q^2")}
-_GENERIC_BY_Q = {label: exact_div(value, L("q")) for label, value in _GENERIC.items()}
+_GENERIC_BY_Q = {label: value.shift(-1) for label, value in _GENERIC.items()}
 
 
 def _weight2_column(mu, h, members, profiles, sums, shapes, named):

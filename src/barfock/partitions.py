@@ -507,6 +507,8 @@ class BlockId:
 		object.__setattr__(self, "core", tuple(self.core))
 		if bar_weight(self.core, self.h) != 0:  # bar_core checks the parts
 			raise ValueError("%s is not a %d-bar-core" % (partition_str(self.core), self.h))
+		if not isinstance(self.weight, int):
+			raise ValueError("weight must be an integer, got %r" % (self.weight,))
 		if self.weight < 0:
 			raise ValueError("negative weight")
 

@@ -86,6 +86,13 @@ class TestDisplay:
 		assert a.grid() == want
 		assert (a.occupancy(5), a.occupancy(-5)) == (2, -1)
 
+	@pytest.mark.parametrize("h", [0, 4, "5"])
+	def test_h_is_checked_first(self, h):
+		# h is checked before the h-strict test, which divides by h
+		with pytest.raises(ValueError) as err:
+			ab.from_partition((2, 2), h)
+		assert str(err.value) == "h must be an odd integer >= 3, got %r" % (h,)
+
 	def test_roundtrip_exhaustive(self):
 		for h in (3, 5):
 			for m in range(0, 13):

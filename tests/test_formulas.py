@@ -15,17 +15,62 @@ from barfock.laurent import ONE, parse
 from test_acceptance import W2_CORES, dense
 
 
+def three_move_chain(tau, h):
+	"""The paper's weight-1 block over the bar-core tau, built by its three
+	moves and tagged by bracket index: push a part a up by h (index a + h),
+	insert a part h (index h), or insert a complementary pair b, h - b with
+	b > n (index b).  Returned as (index, member) pairs sorted by index."""
+	n = pt.n_of(h)
+	entries = [(h, pt.union(tau, (h,)))]
+	for a in tau:
+		if a + h not in tau:
+			entries.append((a + h, pt.union(pt.subtract(tau, (a,)), (a + h,))))
+	for b in range(n + 1, h):
+		if b not in tau and h - b not in tau:
+			entries.append((b, pt.union(tau, (b, h - b))))
+	return sorted(entries)
+
+
 class TestWeight1:
 	def test_chain_shape(self):
 		for h in (3, 5, 7):
 			n = pt.n_of(h)
 			for core in pt.enumerate_cores(h, 8):
-				parts = fm.weight1_chain(core, h)
+				parts = fm.formula_matrix(pt.BlockId(h, core, 1)).rows
 				assert len(parts) == n + 1
 				for a, b in zip(parts, parts[1:]):
 					assert pt.strictly_dominates(b, a)
 				assert all(pt.is_restricted(lam, h) for lam in parts[:-1])
 				assert not pt.is_restricted(parts[-1], h)
+
+	def test_growth_record_is_the_three_move_chain(self):
+		# the chain read off the block's growth record is the paper's
+		# three-move construction, and the value each member records is
+		# its bracket index, so the indices sort the chain
+		blocks = 0
+		for hs, bound in (((3, 5, 7), 15), ((9, 11, 13, 15), 30)):
+			for h in hs:
+				for core in pt.enumerate_cores(h, bound):
+					ref = three_move_chain(core, h)
+					rows = fm.formula_matrix(pt.BlockId(h, core, 1)).rows
+					assert list(rows) == [lam for _, lam in ref], (h, core)
+					values = pt._block_members(h, core, 1)
+					assert [values[lam] for _, lam in ref] == [(i,) for i, _ in ref]
+					assert len({i for i, _ in ref}) == pt.n_of(h) + 1
+					blocks += 1
+		assert blocks == 2409
+
+	def test_values_that_fail_to_rise_are_refused(self, monkeypatch):
+		# the growth record read in reverse: same members, same values,
+		# but the bracket indices fall along the lex order
+		real = pt._block_members
+		monkeypatch.setattr(pt, "_block_members", lambda h, core, w:
+			dict(reversed(real(h, core, w).items())) if (h, core, w) == (7, (4, 2), 1)
+			else real(h, core, w))
+		with pytest.raises(pt.InvariantError) as err:
+			fm.formula_matrix(pt.BlockId(7, (4, 2), 1))
+		assert str(err.value) == \
+			"bar values do not rise strictly along the weight-1 chain over (4,2)"
 
 	def test_displayed_matrix(self):
 		m = fm.formula_matrix(pt.BlockId(7, (4, 2), 1))
@@ -148,6 +193,25 @@ class TestSpecials:
 				elif l == 1:
 					assert s["yy"] == (2 * h + 1,)
 
+	def test_a_core_is_required(self):
+		# (5) has bar-weight 1 at h=5: BlockId refuses it as a usage
+		# error, before any named partition is built
+		with pytest.raises(ValueError) as err:
+			fm.special_partitions((5,), 5)
+		assert str(err.value) == "(5) is not a 5-bar-core"
+		with pytest.raises(ValueError, match="^h must be an odd integer"):
+			fm.special_partitions((1,), 4)
+
+	def test_a_named_partition_outside_the_block_is_refused(self, monkeypatch):
+		# the one membership test: a named partition missing from the
+		# block's growth record fails, whatever made it wrong
+		real = pt._block_members
+		monkeypatch.setattr(pt, "_block_members", lambda h, core, w:
+			{lam: v for lam, v in real(h, core, w).items() if lam != (6, 5)})
+		with pytest.raises(pt.InvariantError) as err:
+			fm.special_partitions((1,), 5)
+		assert str(err.value) == "ppi = (6,5) is not in the weight-2 block over (1)"
+
 	def test_members_of_block(self):
 		for tau, h in [((1,), 5), ((), 5), ((2, 1), 7), ((4, 2), 7)]:
 			b = pt.BlockId(h, tau, 2)
@@ -244,7 +308,7 @@ class TestDispatch:
 		# weight 1: the dominance chain, with the weight-1 labels
 		b1 = pt.BlockId(7, (4, 2), 1)
 		m1, labels1 = fm.formula_matrix(b1, with_labels=True)
-		assert list(m1.rows) == fm.weight1_chain((4, 2), 7)
+		assert list(m1.rows) == [lam for _, lam in three_move_chain((4, 2), 7)]
 		assert set(labels1.values()) == {"unit", "step", "step-h"}
 		assert fm.formula_matrix(b1) == m1
 		# weight 2: every block member, with sporadic and generic labels

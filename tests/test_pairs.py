@@ -467,11 +467,11 @@ def test_transport_reads_each_column_once(monkeypatch):
 
 def test_pair_and_formula_checks_survive_optimised_mode():
 	# python -O strips asserts, but not these checks: a psi that fixes
-	# everything breaks the triples' permutation, a reversed weight-1 chain
-	# is not the block's member list, a block without ppi leaves the
-	# natural column's clauses without a partition to point at, and the
-	# incomparable (6,3,3) and (5,5,2) above (4,4,4) are no chain, neither
-	# for mu+ nor as an exceptional triple
+	# everything breaks the triples' permutation, a weight-1 growth record
+	# read in reverse has bar values that fall along the chain, a block
+	# without ppi leaves the natural column's clauses without a partition
+	# to point at, and the incomparable (6,3,3) and (5,5,2) above (4,4,4)
+	# are no chain, neither for mu+ nor as an exceptional triple
 	script = textwrap.dedent("""
 		import barfock.formulas as fm
 		import barfock.pairs as pr
@@ -483,8 +483,10 @@ def test_pair_and_formula_checks_survive_optimised_mode():
 			pr.exceptional_triples(d)
 		except pt.InvariantError as e:
 			print(e)
-		real = fm.weight1_chain
-		fm.weight1_chain = lambda tau, h: real(tau, h)[::-1]
+		real = pt._block_members
+		pt._block_members = lambda h, core, w: \
+			dict(reversed(real(h, core, w).items())) if (h, core, w) == (7, (4, 2), 1) \
+			else real(h, core, w)
 		try:
 			fm.formula_matrix(pt.BlockId(7, (4, 2), 1))
 		except pt.InvariantError as e:
@@ -514,7 +516,7 @@ def test_pair_and_formula_checks_survive_optimised_mode():
 	assert proc.returncode == 0, proc.stderr
 	assert proc.stdout.splitlines() == [
 		"signature involution does not permute the triples as expected",
-		"weight-1 chain misses block members over (4,2)",
+		"bar values do not rise strictly along the weight-1 chain over (4,2)",
 		"nat column without ppi",
 		"like-shaped partitions above (4,4,4) do not form a chain",
 		"exceptional partitions do not form a chain",

@@ -468,7 +468,7 @@ class TestBlockId:
 	def test_validation(self):
 		with pytest.raises(ValueError):
 			pt.BlockId(5, (5, 4), 1)	# not a core
-		with pytest.raises(ValueError):
+		with pytest.raises(ValueError, match="^negative weight$"):
 			pt.BlockId(5, (1,), -1)
 		b = pt.BlockId(5, (1,), 2)
 		assert (b.h, b.core, b.weight) == (5, (1,), 2)
@@ -487,6 +487,15 @@ class TestBlockId:
 			with pytest.raises(ValueError) as err:
 				pt.BlockId(5, given, 1)
 			assert str(err.value) == text
+
+	@pytest.mark.parametrize("weight", [1.5, "2"])
+	def test_a_weight_that_is_not_an_int_is_refused(self, weight):
+		# refused before the < 0 test: a float would send enumerate_block
+		# down weights 0.5, -0.5, ... to a RecursionError, and a str fails
+		# that test with a TypeError
+		with pytest.raises(ValueError) as err:
+			pt.BlockId(5, (1,), weight)
+		assert str(err.value) == "weight must be an integer, got %r" % (weight,)
 
 	def test_a_core_is_kept_as_a_tuple(self):
 		assert pt.BlockId(5, (a for a in (3, 1)), 0).core == (3, 1)
